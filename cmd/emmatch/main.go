@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		closure  = fs.Bool("closure", false, "apply transitive closure to the output before scoring")
 		bcubed   = fs.Bool("bcubed", false, "also print the B-cubed cluster metric")
 		parallel = fs.Int("parallel", 1, "concurrent neighborhood evaluations")
-		shards   = fs.Int("shards", 0, "blocking shards for -records (0 = one per CPU; -ingest's delta index blocks serially)")
+		shards   = fs.Int("shards", 0, "blocking shards for -records (blocking is serial; the output is identical for every count)")
 		maxNbr   = fs.Int("max-neighborhood", 0, "canopy size bound for -records/-ingest (0 = unbounded)")
 		backend  = fs.String("backend", "", "execution backend: "+strings.Join(cem.Backends(), " | ")+" (empty = default pool)")
 		bShards  = fs.Int("backend-shards", 0, "shard/worker count for the sharded and sharded-net backends (0 = default)")

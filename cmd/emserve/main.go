@@ -36,6 +36,16 @@ import (
 	"repro/internal/serve"
 )
 
+// httpLimits bounds every connection, so a slow or stalled client
+// cannot hold one forever. The write limit covers a POST ?wait=1, which
+// answers only once its batch is committed, so it is generous.
+var httpLimits = struct{ readHeader, read, write, idle time.Duration }{
+	readHeader: 10 * time.Second,
+	read:       2 * time.Minute,
+	write:      10 * time.Minute,
+	idle:       2 * time.Minute,
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr, nil, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "emserve: %v\n", err)
@@ -55,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 		stName   = fs.String("store", "", "storage backend under <state>/store: "+strings.Join(cem.Stores(), " | ")+"; empty = journal/checkpoint recovery only")
 		matcher  = fs.String("matcher", "mln", "matcher: "+strings.Join(cem.Matchers(), " | "))
 		scheme   = fs.String("scheme", "smp", "scheme: nomp | smp | mmp (incremental path required)")
-		shards   = fs.Int("shards", 0, "blocking shards for the cold first batch (0 = one per CPU)")
+		shards   = fs.Int("shards", 0, "blocking shards (blocking is serial; the output is identical for every count)")
 		maxNbr   = fs.Int("max-neighborhood", 0, "canopy size bound (0 = unbounded)")
 		parallel = fs.Int("parallel", 1, "concurrent neighborhood evaluations")
 		dataset  = fs.String("dataset", "emserve", "dataset name reported in snapshots")
@@ -130,7 +140,13 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 		ready <- ln.Addr().String()
 	}
 
-	srv := &http.Server{Handler: svc}
+	srv := &http.Server{
+		Handler:           svc,
+		ReadHeaderTimeout: httpLimits.readHeader,
+		ReadTimeout:       httpLimits.read,
+		WriteTimeout:      httpLimits.write,
+		IdleTimeout:       httpLimits.idle,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

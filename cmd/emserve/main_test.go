@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	cem "repro"
 )
@@ -86,6 +89,40 @@ func TestEmserveSIGTERMRestart(t *testing.T) {
 	sigs2 <- syscall.SIGTERM
 	if err := <-errc2; err != nil {
 		t.Fatalf("second shutdown: %v", err)
+	}
+}
+
+// TestEmserveDropsSlowClient: a client that opens a connection and
+// never finishes its request header is disconnected once the header
+// limit passes, and the server keeps serving everyone else.
+func TestEmserveDropsSlowClient(t *testing.T) {
+	saved := httpLimits
+	httpLimits.readHeader = 200 * time.Millisecond
+	t.Cleanup(func() { httpLimits = saved })
+	base, sigs, errc, _ := startServer(t, t.TempDir())
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /stats HTTP/1.1\r\nHost: emserve\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("server still holds the stalled connection after %v", time.Since(start))
+	}
+	fetchStats(t, base) // other clients are still served
+
+	sigs <- syscall.SIGTERM
+	if err := <-errc; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }
 

@@ -30,14 +30,13 @@ func main() {
 	}
 	fmt.Printf("input:  %d raw records\n", len(records))
 
-	// The pipeline bundles every stage: blocking (sharded, output
-	// identical to serial), total-cover construction, scheme execution
-	// through the Runner, and evaluation.
+	// The pipeline bundles every stage: blocking (a q-gram similarity
+	// join), total-cover construction, scheme execution through the
+	// Runner, and evaluation.
 	pipe, err := cem.NewPipeline(
 		cem.WithDatasetName("pipeline-demo"),
 		cem.WithMatcher(cem.MatcherMLN),
 		cem.WithScheme(cem.SchemeSMP),
-		cem.WithShards(runtime.NumCPU()),
 		cem.WithRunnerOptions(cem.WithParallelism(runtime.NumCPU())),
 	)
 	if err != nil {

@@ -7,6 +7,7 @@ package canopy
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -257,6 +258,8 @@ func TestConfigValidate(t *testing.T) {
 		{Loose: 0.4, Tight: 0.8, Q: 2, MaxAligned: -1},
 		{Loose: 0.4, Tight: 0.8, Q: 2, MaxNeighborhood: -3},
 		{Loose: 0.4, Tight: 0.8, Q: 2, MaxNeighborhood: 1},
+		{Loose: math.NaN(), Tight: 0.8, Q: 2},
+		{Loose: 0.4, Tight: math.NaN(), Q: 2},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -1,7 +1,8 @@
 // Package canopy builds covers (§4 of the paper): it implements the
 // Canopies algorithm of McCallum, Nigam & Ungar (reference [13]) over a
-// cheap q-gram similarity with an inverted index, and then turns the
-// canopies into a *total cover* (Definition 7) by expanding every
+// cheap q-gram similarity, computed by a ScanCount similarity join over
+// interned grams (see Index), and then turns the canopies into a *total
+// cover* (Definition 7) by expanding every
 // neighborhood with its boundary w.r.t. the Coauthor relation — exactly
 // the construction §4 describes ("we construct a total cover by first
 // constructing a total cover over Similar using Canopies, and then taking
@@ -11,10 +12,8 @@ package canopy
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/bib"
 	"repro/internal/core"
@@ -62,9 +61,9 @@ type Config struct {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.Loose <= 0 || c.Loose > 1:
+	case !(c.Loose > 0 && c.Loose <= 1):
 		return fmt.Errorf("canopy: Loose = %v out of (0,1]", c.Loose)
-	case c.Tight < c.Loose || c.Tight > 1:
+	case !(c.Tight >= c.Loose && c.Tight <= 1):
 		return fmt.Errorf("canopy: Tight = %v out of [Loose,1]", c.Tight)
 	case c.Q <= 0:
 		return fmt.Errorf("canopy: Q = %d, want > 0", c.Q)
@@ -100,148 +99,35 @@ func normalize(name string) string {
 func Canopies(names []string, cfg Config) [][]core.EntityID {
 	sets, err := CanopiesContext(context.Background(), names, cfg, 1)
 	if err != nil {
-		// Unreachable: a background context never cancels and serial
-		// construction has no other failure mode.
-		panic(err)
+		panic(err) // a background context never cancels; cfg is the caller's bug
 	}
 	return sets
 }
 
 // scored is one canopy candidate of a seed: a record id with its cheap
-// q-gram similarity to the seed.
+// q-gram similarity to the seed. The fields are exported for gob (see
+// Index.Save).
 type scored struct {
-	id  core.EntityID
-	sim float64
+	ID  core.EntityID
+	Sim float64
 }
 
-// batchPerShard is how many seeds each shard scores per parallel round.
-// Seeds removed from the pool by an earlier seed of the same round are
-// scored speculatively and discarded, so the batch bounds wasted work.
-const batchPerShard = 32
-
-// CanopiesContext is Canopies with context cancellation and sharded
-// execution: seed scoring — the expensive phase, one q-gram index probe
-// plus a Jaccard per candidate — runs on a pool of `shards` workers
-// (shards <= 0 means GOMAXPROCS), while canopy emission stays serial in
-// ascending seed order. A seed's candidate list depends only on the
-// immutable gram index, never on the evolving seed pool, so the output is
-// byte-identical for every shard count, including 1. A canceled context
-// aborts between rounds with ctx.Err().
-//
-// Each worker keeps a private candidate-dedupe stamp array of n int32s,
-// so working memory is O(shards·n) on top of the gram index; on very
-// large corpora, bound shards accordingly rather than defaulting to one
-// per core.
+// CanopiesContext is Canopies with context cancellation: the names are
+// scored by the Index's ScanCount join and the canopies emitted from the
+// candidate lists. Scoring is serial — in measurements, sharding the
+// ScanCount probes cost more CPU than it saved — so the output is
+// byte-identical for every shard count, which the signature keeps for
+// its callers. An invalid cfg is an error; a canceled context aborts
+// with ctx.Err().
 func CanopiesContext(ctx context.Context, names []string, cfg Config, shards int) ([][]core.EntityID, error) {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	n := len(names)
-	if max := (n + batchPerShard - 1) / batchPerShard; shards > max && max > 0 {
-		shards = max
-	}
-	norm := make([]string, n)
-	grams := make([]map[string]int, n)
-	if err := eachShard(ctx, n, shards, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			norm[i] = normalize(names[i])
-			grams[i] = similarity.QGrams(norm[i], cfg.Q)
-		}
-	}); err != nil {
+	ix, err := NewIndex(cfg)
+	if err != nil {
 		return nil, err
 	}
-	// Inverted index: gram -> ids containing it (ids ascending by
-	// construction).
-	index := map[string][]int32{}
-	for i := 0; i < n; i++ {
-		for g := range grams[i] {
-			index[g] = append(index[g], int32(i))
-		}
+	if err := ix.score(ctx, len(names), func(id int) string { return names[id] }); err != nil {
+		return nil, err
 	}
-	// score collects a seed's candidates — everyone sharing at least one
-	// gram, kept when Jaccard >= Loose — using a per-worker dedupe stamp.
-	score := func(seed int, seen []int32) []scored {
-		var out []scored
-		stamp := int32(seed)
-		for g := range grams[seed] {
-			for _, j := range index[g] {
-				if seen[j] == stamp {
-					continue
-				}
-				seen[j] = stamp
-				if s := jaccard(grams[seed], grams[j]); s >= cfg.Loose {
-					out = append(out, scored{id: j, sim: s})
-				}
-			}
-		}
-		sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
-		return out
-	}
-	stamps := make([][]int32, shards)
-	for w := range stamps {
-		stamps[w] = make([]int32, n)
-		for i := range stamps[w] {
-			stamps[w][i] = -1
-		}
-	}
-	inPool := make([]bool, n)
-	for i := range inPool {
-		inPool[i] = true
-	}
-	var canopies [][]core.EntityID
-	for next := 0; next < n; {
-		// Gather the next round of in-pool seeds.
-		batch := make([]int, 0, shards*batchPerShard)
-		for next < n && len(batch) < shards*batchPerShard {
-			if inPool[next] {
-				batch = append(batch, next)
-			}
-			next++
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Parallel phase: score every seed of the round.
-		cands := make([][]scored, len(batch))
-		var wg sync.WaitGroup
-		for w := 0; w < shards; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for bi := w; bi < len(batch); bi += shards {
-					cands[bi] = score(batch[bi], stamps[w])
-				}
-			}(w)
-		}
-		wg.Wait()
-		// Serial phase: emit canopies in seed order, honoring removals
-		// made by earlier seeds of the same round.
-		for bi, seed := range batch {
-			if !inPool[seed] {
-				continue
-			}
-			kept := cands[bi]
-			if len(kept) == 0 {
-				kept = []scored{{id: core.EntityID(seed), sim: 1}}
-			}
-			if cfg.MaxNeighborhood > 0 && len(kept) > cfg.MaxNeighborhood {
-				kept = capCanopy(kept, core.EntityID(seed), cfg.MaxNeighborhood)
-			}
-			canopy := make([]core.EntityID, len(kept))
-			for i, c := range kept {
-				canopy[i] = c.id
-				if c.sim >= cfg.Tight {
-					inPool[c.id] = false
-				}
-			}
-			inPool[seed] = false
-			canopies = append(canopies, canopy)
-		}
-	}
-	return canopies, nil
+	return ix.emit(), nil
 }
 
 // capCanopy keeps the seed plus the k-1 most similar candidates (ties by
@@ -251,67 +137,17 @@ func CanopiesContext(ctx context.Context, names []string, cfg Config, shards int
 func capCanopy(cands []scored, seed core.EntityID, k int) []scored {
 	byRank := append([]scored(nil), cands...)
 	sort.Slice(byRank, func(a, b int) bool {
-		if byRank[a].id == seed || byRank[b].id == seed {
-			return byRank[a].id == seed
+		if byRank[a].ID == seed || byRank[b].ID == seed {
+			return byRank[a].ID == seed
 		}
-		if byRank[a].sim != byRank[b].sim {
-			return byRank[a].sim > byRank[b].sim
+		if byRank[a].Sim != byRank[b].Sim {
+			return byRank[a].Sim > byRank[b].Sim
 		}
-		return byRank[a].id < byRank[b].id
+		return byRank[a].ID < byRank[b].ID
 	})
 	byRank = byRank[:k]
-	sort.Slice(byRank, func(a, b int) bool { return byRank[a].id < byRank[b].id })
+	sort.Slice(byRank, func(a, b int) bool { return byRank[a].ID < byRank[b].ID })
 	return byRank
-}
-
-// eachShard splits [0, n) into `shards` contiguous blocks and runs fn on
-// each concurrently, unless ctx is already canceled.
-func eachShard(ctx context.Context, n, shards int, fn func(lo, hi int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if shards > n {
-		shards = n
-	}
-	if shards <= 1 {
-		fn(0, n)
-		return nil
-	}
-	var wg sync.WaitGroup
-	per := (n + shards - 1) / shards
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return nil
-}
-
-// jaccard computes set Jaccard over two gram maps.
-func jaccard(a, b map[string]int) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	inter := 0
-	for g := range a {
-		if _, ok := b[g]; ok {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // ExpandBoundary grows every neighborhood by its boundary w.r.t. rel:
@@ -429,10 +265,16 @@ func GreedyTotalCover(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityI
 	return out
 }
 
-// AlignedExpand grows each canopy with bounded relational context: for
-// every name-similar pair (a, b) inside the canopy, the endpoints of up
+// alignedExpandInto grows each set with bounded relational context: for
+// every name-similar pair (a, b) inside pairSets[i], the endpoints of up
 // to maxAligned aligned coauthor pairs — (c1, c2) with c1 ∈ N(a),
-// c2 ∈ N(b) and similar names — are added.
+// c2 ∈ N(b) and similar names — are added to (a copy of) sets[i].
+// BuildCover passes the raw canopies as the pair source and the
+// totality-patched sets as the target — patch members are co-located
+// for Definition 7, not name-similar, so scanning them for driving
+// pairs would cost quadratic similarity work for nothing, and the
+// canopy pair source is append-stable under ingestion by construction.
+// pairSets[i] must be a subset of sets[i].
 //
 // When more than maxAligned pairs qualify, the kept ones are those with
 // the EARLIEST-ingested endpoints: candidates are ranked by highest
@@ -442,41 +284,19 @@ func GreedyTotalCover(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityI
 // all-old pair — the selection, and with it the whole cover, is stable
 // under record ingestion (the property the incremental Index relies
 // on). The result is NOT necessarily total; run GreedyTotalCover first.
-func AlignedExpand(d *bib.Dataset, sets [][]core.EntityID, maxAligned int) [][]core.EntityID {
-	return alignedExpandInto(d, sets, sets, maxAligned)
-}
-
-// alignedExpandInto is AlignedExpand with the pair source decoupled from
-// the expansion target: the name-similar (a, b) pairs driving the
-// expansion are enumerated over pairSets[i], while members are added to
-// (a copy of) sets[i]. BuildCover passes the raw canopies as the pair
-// source and the totality-patched sets as the target — patch members are
-// co-located for Definition 7, not name-similar, so scanning them for
-// driving pairs would cost quadratic similarity work for nothing, and
-// the canopy pair source is append-stable under ingestion by
-// construction. pairSets[i] must be a subset of sets[i].
-func alignedExpandInto(d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAligned int) [][]core.EntityID {
+//
+// levels memoises name similarity across calls; it is extended here
+// with d's records, so an Index can keep one for its whole stream.
+func alignedExpandInto(levels *nameLevels, d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAligned int) [][]core.EntityID {
 	if maxAligned <= 0 {
 		return sets
 	}
 	rel := d.Coauthor()
-	parsed := make([]similarity.Name, d.NumRefs())
-	for i := range d.Refs {
-		parsed[i] = similarity.ParseName(d.Refs[i].Name)
-	}
 	// Sets overlap heavily and the coauthor products revisit the same
-	// pairs constantly; one cached similarity evaluation per distinct
-	// pair replaces thousands of repeated (allocating) Jaro runs.
-	levels := map[core.PairKey]similarity.Level{}
-	lvl := func(x, y core.EntityID) similarity.Level {
-		k := core.MakePair(x, y).Key()
-		if v, ok := levels[k]; ok {
-			return v
-		}
-		v := similarity.NameLevel(parsed[x], parsed[y])
-		levels[k] = v
-		return v
-	}
+	// pairs constantly; one memoised similarity evaluation per distinct
+	// name pair replaces thousands of repeated (allocating) Jaro runs.
+	levels.extend(d)
+	lvl := levels.level
 	out := make([][]core.EntityID, len(sets))
 	var combos []alignedPair // reused scratch
 	for si, set := range sets {
@@ -569,41 +389,19 @@ func BuildCover(d *bib.Dataset, cfg Config) *core.Cover {
 	return cover
 }
 
-// BuildCoverContext is BuildCover with context cancellation and sharded
-// canopy construction (shards <= 0 means GOMAXPROCS). The cover is
-// byte-identical for every shard count; a canceled context aborts with
-// ctx.Err().
+// BuildCoverContext is BuildCover with context cancellation: one
+// Index.Add over the whole dataset, so a cold build and an incremental
+// stream run the same scorer and reach the same cover. The shards
+// argument no longer changes anything — scoring is serial, see
+// CanopiesContext — and the cover is byte-identical for every value. A
+// canceled context aborts with ctx.Err().
 func BuildCoverContext(ctx context.Context, d *bib.Dataset, cfg Config, shards int) (*core.Cover, error) {
-	names := make([]string, d.NumRefs())
-	for i := range d.Refs {
-		names[i] = d.Refs[i].Name
-	}
-	sets, err := CanopiesContext(ctx, names, cfg, shards)
+	ix, err := NewIndex(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.FullBoundary {
-		sets = ExpandBoundary(sets, d.Coauthor())
-	} else {
-		// Totality patching runs FIRST, on the raw canopies: canopy sets
-		// and their ids are append-stable under record ingestion, so
-		// patch placement (lowest containing id) never moves for old
-		// edges and the cover stays additive across deltas — the
-		// property the incremental Index exploits. Aligned relational
-		// context is absorbed afterwards (driven by the canopy pairs,
-		// added to the patched sets); it only grows sets and cannot
-		// re-route patches.
-		canopies := sets
-		sets = GreedyTotalCover(canopies, d.Coauthor())
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sets = alignedExpandInto(d, canopies, sets, cfg.MaxAligned)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return core.NewCover(d.NumRefs(), sets), nil
+	cover, _, err := ix.Add(ctx, d)
+	return cover, err
 }
 
 // SimilarPairs enumerates the candidate pairs of a dataset: unordered
@@ -616,33 +414,80 @@ type SimilarPair struct {
 }
 
 // CandidatePairs scans a cover and returns every in-neighborhood pair
-// with non-zero name-similarity level, deduplicated across neighborhoods.
+// with non-zero name-similarity level, deduplicated across
+// neighborhoods, in ascending (A, B) order. Each record a visits the
+// members above it of every neighborhood containing it, marking the
+// ones seen in a stamp array, so every distinct pair is scored once;
+// the level is memoised per distinct name pair.
 func CandidatePairs(d *bib.Dataset, cover *core.Cover) []SimilarPair {
-	parsed := make([]similarity.Name, d.NumRefs())
-	for i := range d.Refs {
-		parsed[i] = similarity.ParseName(d.Refs[i].Name)
-	}
-	seen := core.NewPairSet()
+	levels := newNameLevels()
+	levels.extend(d)
+	seen := make([]int32, cover.NumEntities) // seen[b] == a+1: pair (a, b) visited
 	var out []SimilarPair
-	for _, set := range cover.Sets {
-		for i := 0; i < len(set); i++ {
-			for j := i + 1; j < len(set); j++ {
-				p := core.MakePair(set[i], set[j])
-				if seen.Has(p) {
+	for a := core.EntityID(0); int(a) < cover.NumEntities; a++ {
+		from := len(out)
+		for _, s := range cover.Containing(a) {
+			set := cover.Sets[s]
+			i, _ := slices.BinarySearch(set, a+1)
+			for _, b := range set[i:] {
+				if seen[b] == a+1 {
 					continue
 				}
-				seen.Add(p)
-				if lvl := similarity.NameLevel(parsed[p.A], parsed[p.B]); lvl > similarity.LevelNone {
-					out = append(out, SimilarPair{Pair: p, Level: lvl})
+				seen[b] = a + 1
+				if lvl := levels.level(a, b); lvl > similarity.LevelNone {
+					out = append(out, SimilarPair{Pair: core.Pair{A: a, B: b}, Level: lvl})
 				}
 			}
 		}
+		slices.SortFunc(out[from:], func(x, y SimilarPair) int { return int(x.Pair.B) - int(y.Pair.B) })
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pair.A != out[j].Pair.A {
-			return out[i].Pair.A < out[j].Pair.A
-		}
-		return out[i].Pair.B < out[j].Pair.B
-	})
 	return out
+}
+
+// nameLevels memoises similarity.NameLevel per distinct pair of parsed
+// names. Records repeat names heavily (a HEPTH-like cover holds ~14
+// record pairs per distinct name pair), and NameLevel is symmetric, so
+// one Jaro-Winkler evaluation per unordered name pair serves every
+// record pair carrying it. The memo is a map, sized by the pairs
+// actually asked for: a dense names×names table would cost more memory
+// than the pairs it serves.
+type nameLevels struct {
+	ids   map[similarity.Name]uint32 // parsed name -> name id
+	of    []uint32                   // record -> name id
+	names []similarity.Name          // name id -> parsed name
+	memo  map[uint64]similarity.Level
+}
+
+func newNameLevels() *nameLevels {
+	return &nameLevels{ids: map[similarity.Name]uint32{}, memo: map[uint64]similarity.Level{}}
+}
+
+// extend interns the names of d's records beyond those already seen;
+// records already interned must be unchanged in d.
+func (m *nameLevels) extend(d *bib.Dataset) {
+	for i := len(m.of); i < d.NumRefs(); i++ {
+		name := similarity.ParseName(d.Refs[i].Name)
+		id, ok := m.ids[name]
+		if !ok {
+			id = uint32(len(m.names))
+			m.ids[name] = id
+			m.names = append(m.names, name)
+		}
+		m.of = append(m.of, id)
+	}
+}
+
+// level returns the similarity level of records x and y.
+func (m *nameLevels) level(x, y core.EntityID) similarity.Level {
+	a, b := m.of[x], m.of[y]
+	if a > b {
+		a, b = b, a
+	}
+	k := uint64(a)<<32 | uint64(b)
+	v, ok := m.memo[k]
+	if !ok {
+		v = similarity.NameLevel(m.names[a], m.names[b])
+		m.memo[k] = v
+	}
+	return v
 }

@@ -2,6 +2,7 @@ package canopy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -54,8 +55,10 @@ func coversEqual(a, b *core.Cover) bool {
 
 // TestIndexAddMatchesBuildCover is the delta-ingestion blocking property:
 // for random arrival sequences (shuffled record order, random batch
-// boundaries), the cover after every Index.Add is identical to rebuilding
-// from scratch over the records ingested so far.
+// boundaries), the cover after every Index.Add is identical to the
+// from-scratch reference over the records ingested so far — coverOld,
+// built on the verbatim old canopy algorithm rather than on the Index
+// that BuildCover itself now runs.
 func TestIndexAddMatchesBuildCover(t *testing.T) {
 	for _, preset := range []datagen.Config{
 		datagen.HEPTHLike(0.25, 42),
@@ -85,9 +88,9 @@ func TestIndexAddMatchesBuildCover(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := BuildCover(union, DefaultConfig())
+					want := coverOld(union, DefaultConfig())
 					if !coversEqual(got, want) {
-						t.Fatalf("batch %d: incremental cover differs from scratch rebuild over %d records",
+						t.Fatalf("batch %d: incremental cover differs from the scratch reference over %d records",
 							bi, len(ingested))
 					}
 					if len(delta.NewEntities) != len(batch) {
@@ -174,6 +177,67 @@ func TestIndexAddRejectsShrunkDataset(t *testing.T) {
 	}
 	if _, _, err := ix.Add(context.Background(), short); err == nil {
 		t.Fatal("Add accepted a dataset with fewer records than already ingested")
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation from its
+// (n+1)-th call on: it cancels an Add part-way through scoring.
+type cancelAfter struct {
+	context.Context
+	calls, n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls++; c.calls > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestIndexAddResumesAfterCancel: an Add canceled part-way through
+// scoring keeps the records it scored, and the next Add finishes them
+// into the cover the reference builds, reporting every record it covers
+// for the first time as new.
+func TestIndexAddResumesAfterCancel(t *testing.T) {
+	d := datagen.MustGenerate(datagen.DBLPLike(0.1, 3))
+	ix, err := NewIndex(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &cancelAfter{Context: context.Background(), n: d.NumRefs() / 2}
+	if _, _, err := ix.Add(ctx, d); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Add: err = %v, want context.Canceled", err)
+	}
+	if n := ix.Len(); n == 0 || n >= d.NumRefs() {
+		t.Fatalf("canceled Add scored %d of %d records, want part of them", n, d.NumRefs())
+	}
+	got, delta, err := ix.Add(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !coversEqual(got, coverOld(d, DefaultConfig())) {
+		t.Fatal("cover after a resumed Add differs from the reference")
+	}
+	if len(delta.NewEntities) != d.NumRefs() {
+		t.Fatalf("resumed Add reports %d new entities, want %d", len(delta.NewEntities), d.NumRefs())
+	}
+}
+
+// TestLengthRangeExact: the length filter keeps exactly the gram-set
+// sizes whose best-case Jaccard, computed as the score computes it,
+// reaches the threshold.
+func TestLengthRangeExact(t *testing.T) {
+	for _, loose := range []float64{0.42, 0.5, 0.4, 1.0 / 3, 0.7, 1, 0.01} {
+		for la := 1; la <= 64; la++ {
+			lo, hi := lengthRange(la, loose)
+			for lb := 1; lb <= 8192; lb++ {
+				best := float64(min(la, lb)) / float64(max(la, lb))
+				if in := lo <= lb && lb <= hi; in != (best >= loose) {
+					t.Fatalf("loose %v, |a| %d: range [%d,%d] wrongly %v for |b| %d (best Jaccard %v)",
+						loose, la, lo, hi, map[bool]string{true: "keeps", false: "drops"}[in], lb, best)
+				}
+			}
+		}
 	}
 }
 

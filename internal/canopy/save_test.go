@@ -1,7 +1,9 @@
 package canopy
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"testing"
 
 	"repro/internal/bib"
@@ -87,5 +89,47 @@ func TestLoadIndexRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadIndex(blob[:len(blob)-4]); err == nil {
 		t.Fatal("LoadIndex accepted a truncated blob")
+	}
+	v1 := append([]byte("CEMP1\n"), blob[len(indexBlobMagic):]...)
+	if _, err := LoadIndex(v1); err == nil {
+		t.Fatal("LoadIndex accepted a blob of the older CEMP1 format")
+	}
+}
+
+// TestLoadIndexRejectsOutOfRangeIDs: a well-formed blob whose ids point
+// past the records or the gram dictionary fails to load, instead of
+// panicking in a later Add.
+func TestLoadIndexRejectsOutOfRangeIDs(t *testing.T) {
+	d := datagen.MustGenerate(datagen.DBLPLike(0.05, 1))
+	ix, err := NewIndex(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ix.Add(context.Background(), d); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ix.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(w *indexWire){
+		"gram id":   func(w *indexWire) { w.Grams[0][0] = uint32(len(w.Dict)) },
+		"posting":   func(w *indexWire) { w.Postings[0][0] = int32(w.N) },
+		"candidate": func(w *indexWire) { w.Cands[0][0].ID = -1 },
+		"cover":     func(w *indexWire) { w.Sets[0][0] = int32(w.N) },
+	} {
+		var w indexWire
+		if err := gob.NewDecoder(bytes.NewReader(blob[len(indexBlobMagic):])).Decode(&w); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(&w)
+		var buf bytes.Buffer
+		buf.WriteString(indexBlobMagic)
+		if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadIndex(buf.Bytes()); err == nil {
+			t.Errorf("LoadIndex accepted a blob with an out-of-range %s", name)
+		}
 	}
 }

@@ -39,8 +39,8 @@ type Config struct {
 	// nomp/smp/mmp — the scheme must have an incremental path).
 	Matcher string
 	Scheme  cem.Scheme
-	// Shards is the blocking shard count for cold runs; MaxNeighborhood
-	// bounds canopy cores (0 = unbounded).
+	// Shards is handed to cem.WithShards; MaxNeighborhood bounds canopy
+	// cores (0 = unbounded).
 	Shards          int
 	MaxNeighborhood int
 	// Parallelism is the matcher-stage worker count.

@@ -137,12 +137,13 @@ func WithBlocking(c CanopyConfig) PipelineOption {
 	return func(p *Pipeline) { p.blocking = c }
 }
 
-// WithShards runs the blocking stage on n worker shards. The constructed
-// cover is byte-identical for every shard count; shards only buy wall
-// clock. n = 0 (the default) means one shard per CPU; negative counts
-// are rejected by NewPipeline. Blocking keeps O(shards·records) working
-// memory (a per-worker dedupe array), so bound n explicitly on very
-// large corpora.
+// WithShards sets the shard count of the blocking stage. Blocking is a
+// serial ScanCount similarity join over interned q-grams (one dense
+// overlap-count array of O(records) working memory, whatever n is):
+// sharding its probes cost more CPU than it saved, so n no longer
+// changes how blocking runs, and the cover is byte-identical for every
+// value. n = 0 (the default) and positive counts are accepted; negative
+// counts are rejected by NewPipeline.
 func WithShards(n int) PipelineOption {
 	return func(p *Pipeline) { p.shards = n }
 }
@@ -362,8 +363,7 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 // prior == nil runs the first batch cold (equivalent to Run) while
 // retaining the streaming blocking state, so a fold of Update over a
 // record stream is the canonical ingestion loop. The delta index scores
-// arrivals serially (WithShards applies to Run's from-scratch blocking
-// only). Updates from the same prior may run concurrently or fork a
+// only the arrivals, with the same scorer Run's blocking uses. Updates from the same prior may run concurrently or fork a
 // stream: the index advance is atomic, and a branch that lost the race
 // (or holds a stale prior) transparently rebuilds its own blocking
 // state from its own records. For the built-in

@@ -1,6 +1,7 @@
 package cem_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"path/filepath"
@@ -173,6 +174,66 @@ func TestStoreStateReopenValidation(t *testing.T) {
 	}
 	if _, _, err := rulesPipe.Reopen(ctx, records, s); err == nil {
 		t.Fatal("Reopen accepted a snapshot saved by a different matcher")
+	}
+}
+
+// TestReopenTreatsV1PostingsAsCacheMiss: a postings blob in the older
+// CEMP1 format is a cache miss in Reopen, not an error — the records are
+// replayed through a fresh index, which reaches byte-identical blocking
+// state. The CEMP1 blob is the current blob under the old version tag,
+// so only the version check can turn it away.
+func TestReopenTreatsV1PostingsAsCacheMiss(t *testing.T) {
+	ctx := context.Background()
+	records := storeRecords(t)
+	s, err := cem.OpenStore("mem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := cem.NewPipeline(cem.WithMatcher(cem.MatcherMLN), cem.WithScheme(cem.SchemeSMP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(records) / 2
+	first, err := pipe.Update(ctx, nil, records[:half])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pipe.Update(ctx, first, records[half:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cem.SaveState(s, res, 1); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := s.OpenBlob(match.KindPostings, "latest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v1Magic, v2Magic = "CEMP1\n", "CEMP2\n"
+	if !bytes.HasPrefix(v2, []byte(v2Magic)) {
+		t.Fatalf("postings blob starts %q, want %q", v2[:min(len(v2), 6)], v2Magic)
+	}
+	v1 := append([]byte(v1Magic), v2[len(v2Magic):]...)
+	if err := s.SaveBlob(match.KindPostings, "latest", v1); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, _, err := pipe.Reopen(ctx, records, s)
+	if err != nil {
+		t.Fatalf("Reopen over a CEMP1 postings blob: %v", err)
+	}
+	if got, want := renderMatches(reopened.Result), renderMatches(res.Result); got != want {
+		t.Fatalf("reopened matches diverge: %s", firstDiff(got, want))
+	}
+	if err := cem.SaveState(s, reopened, 2); err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := s.OpenBlob(match.KindPostings, "latest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(replayed, v2) {
+		t.Fatal("the replayed blocking state differs from the state the stream saved")
 	}
 }
 
