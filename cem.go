@@ -47,6 +47,7 @@
 package cem
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -262,20 +263,28 @@ func Setup(d *match.Dataset, opts Options) (*Experiment, error) {
 	if err := opts.Canopy.Validate(); err != nil {
 		return nil, fmt.Errorf("cem: %w", err)
 	}
-	return setup(d, opts, nil)
+	return setup(d, opts, nil, nil)
 }
 
-// setup wires an experiment, building the cover from opts.Canopy unless
-// a prebuilt one is supplied (the Pipeline path, which constructs its
-// cover sharded and under a context).
-func setup(d *match.Dataset, opts Options, cover *core.Cover) (*Experiment, error) {
+// setup wires an experiment over the cover ix built for d, blocking d
+// through a fresh index from opts.Canopy when ix is nil. The Pipeline
+// paths pass the index they built or advanced under a context, so the
+// candidate pairs reuse its name-level memo and a stream commit scores
+// only the name pairs it has not seen before.
+func setup(d *match.Dataset, opts Options, ix *canopy.Index, cover *core.Cover) (*Experiment, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("cem: invalid dataset: %w", err)
 	}
-	if cover == nil {
-		cover = canopy.BuildCover(d, opts.Canopy)
+	if ix == nil {
+		var err error
+		if ix, err = canopy.NewIndex(opts.Canopy); err != nil {
+			return nil, fmt.Errorf("cem: %w", err)
+		}
+		if cover, _, err = ix.Add(context.Background(), d); err != nil {
+			return nil, err
+		}
 	}
-	sp := canopy.CandidatePairs(d, cover)
+	sp := ix.CandidatePairs(d, cover)
 	cands := make([]match.Candidate, len(sp))
 	for i, c := range sp {
 		cands[i] = match.Candidate{Pair: c.Pair, Level: c.Level}

@@ -418,9 +418,28 @@ type SimilarPair struct {
 // neighborhoods, in ascending (A, B) order. Each record a visits the
 // members above it of every neighborhood containing it, marking the
 // ones seen in a stamp array, so every distinct pair is scored once;
-// the level is memoised per distinct name pair.
+// the level is memoised per distinct name pair, in a memo private to
+// the call (Index.CandidatePairs keeps one across a stream).
 func CandidatePairs(d *bib.Dataset, cover *core.Cover) []SimilarPair {
-	levels := newNameLevels()
+	return candidatePairs(newNameLevels(), d, cover)
+}
+
+// CandidatePairs is the package-level CandidatePairs with the index's
+// name-level memo — the one its aligned expansion fills — so a stream
+// evaluates NameLevel only for name pairs no earlier Add or call has
+// seen. d must hold exactly the records the index has ingested (the
+// dataset of its last Add); the result is identical to the package-level
+// function's.
+func (ix *Index) CandidatePairs(d *bib.Dataset, cover *core.Cover) []SimilarPair {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.levels == nil {
+		ix.levels = newNameLevels()
+	}
+	return candidatePairs(ix.levels, d, cover)
+}
+
+func candidatePairs(levels *nameLevels, d *bib.Dataset, cover *core.Cover) []SimilarPair {
 	levels.extend(d)
 	seen := make([]int32, cover.NumEntities) // seen[b] == a+1: pair (a, b) visited
 	var out []SimilarPair

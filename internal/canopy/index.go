@@ -50,7 +50,7 @@ type Index struct {
 	grams    [][]uint32        // distinct gram ids per record, ascending
 	postings [][]int32         // gram id -> records containing it, ascending
 	cands    [][]scored        // loose candidates per record, ascending id
-	levels   *nameLevels       // name-level memo of the cover's aligned expansion; not saved
+	levels   *nameLevels       // name-level memo of aligned expansion and CandidatePairs; not saved
 
 	prevSets map[string]bool   // content keys of the previous cover's sets
 	prevByID [][]core.EntityID // previous cover's sets by id (aliases, read-only)

@@ -15,6 +15,12 @@ type Matcher interface {
 	// nil. The result contains only valid (normalized, non-reflexive)
 	// pairs over the given entities, and must include pos restricted to
 	// those entities.
+	//
+	// pos and neg are the run's shared global evidence, which grows to
+	// the size of the corpus's match set while a neighborhood stays
+	// small. Implementations must read them in place — membership tests,
+	// never a copy, a union or a modification — so that a call costs what
+	// its neighborhood costs.
 	Match(entities []EntityID, pos, neg PairSet) PairSet
 
 	// Candidates enumerates the match variables the matcher would consider

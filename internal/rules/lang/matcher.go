@@ -8,19 +8,20 @@ import (
 )
 
 // NewMatcher grounds the plan over a dataset and the blocking stage's
-// candidate pairs, returning a core.Matcher.
+// candidate pairs, returning a core.Matcher — always a *rules.Matcher.
 //
 // A plain program — no level clauses, no seeds — compiles to exactly
 // rules.New(d, cands, plan.Rules): byte-for-byte the matcher a
 // handwritten []rules.Rule program would produce. Level clauses replace
 // each candidate's blocking-assigned level with the program's own
-// discretization over the record's typed fields; seed clauses wrap the
-// engine so every Match call sees the program's hard equalities in V+
-// and hard inequalities in the negative slot (see rules/hardseed_doc.go
-// — the V+ union keeps the matcher monotone and idempotent, so the
-// SMP-equals-FULL property of the monotone fragment survives seeding).
-// Seeds are evaluated over candidate pairs only, preserving the
-// candidate-closure contract: output ⊆ candidates ∪ echoed evidence.
+// discretization over the record's typed fields; seed clauses flag
+// candidates as hard equalities (rules.SeedEqual) or inequalities
+// (rules.SeedDistinct), which the ground engine treats as members of the
+// V+ and V− slots of every Match call (see rules/hardseed_doc.go — the
+// seeds keep the matcher monotone and idempotent, so the SMP-equals-FULL
+// property of the monotone fragment survives seeding). Seeds are
+// evaluated over candidate pairs only, preserving the candidate-closure
+// contract: output ⊆ candidates ∪ echoed evidence.
 func (pl *Plan) NewMatcher(d *bib.Dataset, cands []rules.Candidate) (core.Matcher, error) {
 	fieldCache := make(map[core.EntityID][]string)
 	fieldsOf := func(e core.EntityID) []string {
@@ -36,55 +37,28 @@ func (pl *Plan) NewMatcher(d *bib.Dataset, cands []rules.Candidate) (core.Matche
 	}
 
 	work := cands
-	if pl.Relevels() {
+	if pl.Relevels() || pl.Seeded() {
 		work = make([]rules.Candidate, len(cands))
 		for i, c := range cands {
-			work[i] = rules.Candidate{
-				Pair:  c.Pair,
-				Level: pl.levelOfFields(fieldsOf(c.Pair.A), fieldsOf(c.Pair.B)),
+			work[i] = c
+			fa, fb := fieldsOf(c.Pair.A), fieldsOf(c.Pair.B)
+			if pl.Relevels() {
+				work[i].Level = pl.levelOfFields(fa, fb)
 			}
-		}
-	}
-	inner, err := rules.New(d, work, pl.Rules)
-	if err != nil {
-		return nil, err
-	}
-	if !pl.Seeded() {
-		return inner, nil
-	}
-	pos, neg := core.NewPairSet(), core.NewPairSet()
-	for _, c := range work {
-		fa, fb := fieldsOf(c.Pair.A), fieldsOf(c.Pair.B)
-		for _, sc := range pl.Prog.Seeds {
-			if pl.holds(sc.Cond, fa, fb) {
-				if sc.Negated {
-					neg.Add(c.Pair)
-				} else {
-					pos.Add(c.Pair)
+			for _, sc := range pl.Prog.Seeds {
+				if pl.holds(sc.Cond, fa, fb) {
+					if sc.Negated {
+						work[i].Seed |= rules.SeedDistinct
+					} else {
+						work[i].Seed |= rules.SeedEqual
+					}
 				}
 			}
 		}
 	}
-	return &seeded{inner: inner, pos: pos, neg: neg}, nil
+	m, err := rules.New(d, work, pl.Rules)
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
-
-// seeded wraps the ground rules engine with the program's hard evidence:
-// each Match call sees the union of the caller's evidence and the seeds.
-// Negative seeds win on overlap because the engine consults the negative
-// slot first, the same tie-break callers get.
-type seeded struct {
-	inner    *rules.Matcher
-	pos, neg core.PairSet
-}
-
-// Candidates implements core.Matcher.
-func (s *seeded) Candidates(entities []core.EntityID) []core.Pair {
-	return s.inner.Candidates(entities)
-}
-
-// Match implements core.Matcher.
-func (s *seeded) Match(entities []core.EntityID, pos, neg core.PairSet) core.PairSet {
-	return s.inner.Match(entities, pos.Union(s.pos), neg.Union(s.neg))
-}
-
-var _ core.Matcher = (*seeded)(nil)

@@ -19,6 +19,7 @@ package rules
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bib"
@@ -85,25 +86,44 @@ func PaperRules() []Rule {
 	}
 }
 
-// Candidate is a match variable: a reference pair with its level.
+// Candidate is a match variable: a reference pair with its level and
+// its hard evidence flags.
 type Candidate struct {
 	Pair  core.Pair
 	Level similarity.Level
+	Seed  Seed
 }
+
+// Seed marks a candidate as hard evidence of the program — Dedupalog's
+// hard rules "equals(x, y) ⇐ AuthorEQ(x, y)" and their negated form (see
+// hardseed_doc.go). Seeds are part of the ground engine: a seeded
+// candidate sits in the V+ or V− slot of every Match call as if the
+// caller had passed it.
+type Seed uint8
+
+const (
+	// SeedEqual puts the candidate in V+ on every call.
+	SeedEqual Seed = 1 << iota
+	// SeedDistinct puts the candidate in V− on every call. It wins over
+	// SeedEqual and over caller V+ (the pair is never output), but a pair
+	// that is also in V+ still counts as coauthor support.
+	SeedDistinct
+)
 
 // Matcher is the ground RULES program over one dataset. It implements
 // core.Matcher (Type-I only — RULES is not probabilistic, so MMP does not
 // apply; Appendix C evaluates it with NO-MP, SMP and FULL). The model is
 // immutable after construction and safe for concurrent use.
 type Matcher struct {
-	rules    []Rule
-	co       *graph.Graph
-	pairs    []core.Pair
-	idOf     map[core.Pair]int32
-	level    []similarity.Level
-	pairsOf  [][]int32
-	applyTC  bool
-	maxLevel map[similarity.Level][]Rule // rules indexed by level
+	co      *graph.Graph
+	pairs   []core.Pair
+	idOf    map[core.Pair]int32
+	level   []similarity.Level
+	seed    []Seed // hard evidence flags per candidate
+	seeds   Seed   // union of all candidates' flags
+	pairsOf [][]int32
+	applyTC bool
+	need    [similarity.LevelStrong + 1]int // matched coauthor pairs a level needs; -1: no rule
 }
 
 // Option configures a Matcher.
@@ -120,23 +140,25 @@ func WithInterleavedClosure() Option {
 	return func(m *Matcher) { m.applyTC = true }
 }
 
-// New grounds the program for a dataset over candidate pairs.
+// New grounds the program for a dataset over candidate pairs, with the
+// candidates' seed flags as hard evidence.
 func New(d *bib.Dataset, cands []Candidate, rs []Rule, opts ...Option) (*Matcher, error) {
 	m := &Matcher{
-		rules:    rs,
-		co:       d.Coauthor(),
-		pairs:    make([]core.Pair, len(cands)),
-		idOf:     make(map[core.Pair]int32, len(cands)),
-		level:    make([]similarity.Level, len(cands)),
-		pairsOf:  make([][]int32, d.NumRefs()),
-		applyTC:  false,
-		maxLevel: map[similarity.Level][]Rule{},
+		co:      d.Coauthor(),
+		pairs:   make([]core.Pair, len(cands)),
+		idOf:    make(map[core.Pair]int32, len(cands)),
+		level:   make([]similarity.Level, len(cands)),
+		seed:    make([]Seed, len(cands)),
+		pairsOf: make([][]int32, d.NumRefs()),
 	}
 	if err := Validate(rs); err != nil {
 		return nil, err
 	}
+	for i := range m.need {
+		m.need[i] = -1
+	}
 	for _, r := range rs {
-		m.maxLevel[r.Level] = append(m.maxLevel[r.Level], r)
+		m.need[r.Level] = r.MinCoauthorMatches
 	}
 	for i, c := range cands {
 		if !c.Pair.Valid() {
@@ -148,6 +170,8 @@ func New(d *bib.Dataset, cands []Candidate, rs []Rule, opts ...Option) (*Matcher
 		m.pairs[i] = c.Pair
 		m.idOf[c.Pair] = int32(i)
 		m.level[i] = c.Level
+		m.seed[i] = c.Seed
+		m.seeds |= c.Seed
 		m.pairsOf[c.Pair.A] = append(m.pairsOf[c.Pair.A], int32(i))
 		m.pairsOf[c.Pair.B] = append(m.pairsOf[c.Pair.B], int32(i))
 	}
@@ -184,62 +208,91 @@ func (m *Matcher) Candidates(entities []core.EntityID) []core.Pair {
 	return out
 }
 
+// evidence is one Match call's view of the global evidence, read in
+// place: V+ is the caller's pos, the SeedEqual candidates and the pairs
+// derived so far; V− is the caller's neg and the SeedDistinct
+// candidates. out is the call's only set — the in-scope V+ pairs outside
+// V− plus everything derived — and a subset of V+, so the derived pairs
+// need no set of their own.
+type evidence struct {
+	m        *Matcher
+	pos, neg core.PairSet
+	out      core.PairSet
+}
+
+// seedOf returns the seed flags of p, zero when p is no candidate.
+func (m *Matcher) seedOf(p core.Pair) Seed {
+	if m.seeds == 0 {
+		return 0
+	}
+	if id, ok := m.idOf[p]; ok {
+		return m.seed[id]
+	}
+	return 0
+}
+
+// equal reports p ∈ V+.
+func (ev *evidence) equal(p core.Pair) bool {
+	k := p.Key()
+	return ev.out.HasKey(k) || ev.pos.HasKey(k) || ev.m.seedOf(p)&SeedEqual != 0
+}
+
+// distinct reports p ∈ V−.
+func (ev *evidence) distinct(p core.Pair) bool {
+	return ev.neg.Has(p) || ev.m.seedOf(p)&SeedDistinct != 0
+}
+
 // matchedCoauthorPairs counts distinct coauthor-pair support for p given
-// the current equals set: unordered pairs (c1, c2) with c1 ∈ N(p.A),
-// c2 ∈ N(p.B), and either c1 == c2 (reflexivity) or (c1, c2) ∈ equals.
-// Counting stops at enough, keeping rule checks cheap.
-func (m *Matcher) matchedCoauthorPairs(p core.Pair, equals core.PairSet, enough int) int {
+// the current V+: unordered pairs (c1, c2) with c1 ∈ N(p.A),
+// c2 ∈ N(p.B), and either c1 == c2 (reflexivity) or (c1, c2) ∈ V+.
+// Counting stops at enough, keeping rule checks cheap, so the pairs
+// counted so far fit a short slice.
+func (ev *evidence) matchedCoauthorPairs(p core.Pair, enough int) int {
 	if enough == 0 {
 		return 0
 	}
-	seen := map[core.Pair]bool{}
-	count := 0
-	for _, c1 := range m.co.Neighbors(p.A) {
-		for _, c2 := range m.co.Neighbors(p.B) {
+	var buf [4]core.PairKey
+	seen := buf[:0]
+	for _, c1 := range ev.m.co.Neighbors(p.A) {
+		for _, c2 := range ev.m.co.Neighbors(p.B) {
 			var q core.Pair
 			if c1 == c2 {
 				q = core.Pair{A: c1, B: c1} // reflexive marker
 			} else {
 				q = core.MakePair(c1, c2)
-				if !equals.Has(q) {
+				if !ev.equal(q) {
 					continue
 				}
 			}
-			if !seen[q] {
-				seen[q] = true
-				count++
-				if count >= enough {
-					return count
+			if !slices.Contains(seen, q.Key()) {
+				seen = append(seen, q.Key())
+				if len(seen) >= enough {
+					return len(seen)
 				}
 			}
 		}
 	}
-	return count
+	return len(seen)
 }
 
-// fires reports whether any rule derives p under equals.
-func (m *Matcher) fires(id int32, equals core.PairSet) bool {
-	rules := m.maxLevel[m.level[id]]
-	if len(rules) == 0 {
+// fires reports whether a rule derives candidate id under the current V+.
+func (ev *evidence) fires(id int32) bool {
+	l := ev.m.level[id]
+	if l < 0 || int(l) >= len(ev.m.need) || ev.m.need[l] < 0 {
 		return false
 	}
-	need := -1
-	for _, r := range rules {
-		if need < 0 || r.MinCoauthorMatches < need {
-			need = r.MinCoauthorMatches
-		}
-	}
-	if need == 0 {
-		return true
-	}
-	return m.matchedCoauthorPairs(m.pairs[id], equals, need) >= need
+	need := ev.m.need[l]
+	return need == 0 || ev.matchedCoauthorPairs(ev.m.pairs[id], need) >= need
 }
 
 // Match implements core.Matcher: semi-naive fixpoint of the rules over
 // the in-scope candidates, interleaved with transitive closure over the
 // in-scope entities, seeded by the positive evidence (which, like the
 // MLN matcher, is consulted globally for coauthor support). Negative
-// evidence suppresses pairs from derivation and output.
+// evidence suppresses pairs from derivation and output. pos and neg are
+// read in place, never copied or iterated beyond the smaller of pos and
+// the neighborhood's entity pairs, so a call costs what its
+// neighborhood costs.
 func (m *Matcher) Match(entities []core.EntityID, pos, neg core.PairSet) core.PairSet {
 	in := make(map[core.EntityID]int32, len(entities))
 	for i, e := range entities {
@@ -256,20 +309,32 @@ func (m *Matcher) Match(entities []core.EntityID, pos, neg core.PairSet) core.Pa
 			}
 		}
 	}
-	sort.Slice(scoped, func(a, b int) bool { return scoped[a] < scoped[b] })
+	slices.Sort(scoped)
 
-	// equals holds the global view: all positive evidence plus everything
-	// derived so far. out holds the in-scope portion.
-	equals := pos.Clone()
-	out := core.NewPairSet()
-	for p := range pos.All() {
-		if neg.Has(p) {
-			continue
+	ev := &evidence{m: m, pos: pos, neg: neg, out: core.NewPairSet()}
+	// The in-scope V+ pairs outside V−: the caller's, found by probing
+	// the neighborhood's entity pairs or by scanning pos, whichever is
+	// fewer lookups, and the equal-seeded candidates.
+	if k := len(entities); k*(k-1)/2 < pos.Len() {
+		for i, a := range entities {
+			for _, b := range entities[i+1:] {
+				if p := core.MakePair(a, b); pos.Has(p) && !ev.distinct(p) {
+					ev.out.Add(p)
+				}
+			}
 		}
-		_, okA := in[p.A]
-		_, okB := in[p.B]
-		if okA && okB {
-			out.Add(p)
+	} else {
+		for p := range pos.All() {
+			_, okA := in[p.A]
+			_, okB := in[p.B]
+			if okA && okB && !ev.distinct(p) {
+				ev.out.Add(p)
+			}
+		}
+	}
+	for _, id := range scoped {
+		if m.seed[id] == SeedEqual && !neg.Has(m.pairs[id]) {
+			ev.out.Add(m.pairs[id])
 		}
 	}
 
@@ -277,31 +342,31 @@ func (m *Matcher) Match(entities []core.EntityID, pos, neg core.PairSet) core.Pa
 		changed := false
 		for _, id := range scoped {
 			p := m.pairs[id]
-			if equals.Has(p) || neg.Has(p) {
+			// A seeded candidate is in V+ or V− already.
+			if m.seed[id] != 0 || ev.out.Has(p) || pos.Has(p) || neg.Has(p) {
 				continue
 			}
-			if m.fires(id, equals) {
-				equals.Add(p)
-				out.Add(p)
+			if ev.fires(id) {
+				ev.out.Add(p)
 				changed = true
 			}
 		}
-		if m.applyTC && m.closeTransitively(entities, in, equals, neg, out) {
+		if m.applyTC && ev.closeTransitively(entities, in) {
 			changed = true
 		}
 		if !changed {
 			break
 		}
 	}
-	return out
+	return ev.out
 }
 
 // closeTransitively adds, for every connected component of in-scope
-// matched pairs, all missing component pairs (except negated ones) to
-// equals/out. Reports whether anything was added.
-func (m *Matcher) closeTransitively(entities []core.EntityID, in map[core.EntityID]int32, equals, neg, out core.PairSet) bool {
+// matched pairs, all missing component pairs outside V− to out. Reports
+// whether anything was added.
+func (ev *evidence) closeTransitively(entities []core.EntityID, in map[core.EntityID]int32) bool {
 	dsu := unionfind.New(len(entities))
-	for p := range out.All() {
+	for p := range ev.out.All() {
 		dsu.Union(int(in[p.A]), int(in[p.B]))
 	}
 	members := map[int][]core.EntityID{}
@@ -317,11 +382,10 @@ func (m *Matcher) closeTransitively(entities []core.EntityID, in map[core.Entity
 		for i := 0; i < len(comp); i++ {
 			for j := i + 1; j < len(comp); j++ {
 				p := core.MakePair(comp[i], comp[j])
-				if equals.Has(p) || neg.Has(p) {
+				if ev.equal(p) || ev.distinct(p) {
 					continue
 				}
-				equals.Add(p)
-				out.Add(p)
+				ev.out.Add(p)
 				changed = true
 			}
 		}

@@ -270,8 +270,8 @@ type PipelineResult struct {
 }
 
 // Run executes the pipeline on the given records. The context cancels
-// both the blocking stage (between sharded scoring rounds) and the
-// matching stage (between neighborhood evaluations).
+// both the blocking stage (between scored records) and the matching
+// stage (between neighborhood evaluations).
 func (p *Pipeline) Run(ctx context.Context, records []Record) (*PipelineResult, error) {
 	return p.run(ctx, records, false)
 }
@@ -297,7 +297,11 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 	if err != nil {
 		return nil, fmt.Errorf("cem: pipeline: %w", err)
 	}
-	cover, err := canopy.BuildCoverContext(ctx, d, p.blocking, p.shards)
+	index, err := canopy.NewIndex(p.blocking)
+	if err != nil {
+		return nil, err
+	}
+	cover, _, err := index.Add(ctx, d)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +312,7 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 		o(&opts)
 	}
 	opts.Canopy = p.blocking // WithCanopy must not desync from the built cover
-	exp, err := setup(d, opts, cover)
+	exp, err := setup(d, opts, index, cover)
 	if err != nil {
 		return nil, err
 	}
@@ -418,7 +422,7 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 		o(&opts)
 	}
 	opts.Canopy = p.blocking
-	exp, err := setup(d, opts, cover)
+	exp, err := setup(d, opts, index, cover)
 	if err != nil {
 		return nil, err
 	}
@@ -536,22 +540,12 @@ func (p *Pipeline) rebuildIndex(ctx context.Context, records []Record) (*canopy.
 // a new set can add variables to an unchanged one).
 func affectedByDelta(exp, old *Experiment, delta *canopy.Delta) []int32 {
 	rel := exp.Dataset.Coauthor()
-	oldCands := match.NewPairSet()
-	for _, c := range old.Candidates {
-		oldCands.Add(c.Pair)
-	}
-	var newPairs []match.Pair
-	for _, c := range exp.Candidates {
-		if !oldCands.Has(c.Pair) {
-			newPairs = append(newPairs, c.Pair)
-		}
-	}
 	seen := map[int32]bool{}
 	var out []int32
 	for _, ids := range [][]int32{
 		delta.Changed,
 		exp.Cover.AffectedEntities(delta.NewEntities, rel),
-		exp.Cover.Affected(newPairs, rel),
+		exp.Cover.Affected(newCandidates(exp.Candidates, old.Candidates), rel),
 	} {
 		for _, id := range ids {
 			if !seen[id] {
@@ -561,5 +555,23 @@ func affectedByDelta(exp, old *Experiment, delta *canopy.Delta) []int32 {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// newCandidates returns the pairs of cur absent from old, by a merge walk
+// of the two lists, both ascending in (A, B) order as CandidatePairs
+// emits them.
+func newCandidates(cur, old []match.Candidate) []match.Pair {
+	var out []match.Pair
+	j := 0
+	for _, c := range cur {
+		k := c.Pair.Key()
+		for j < len(old) && old[j].Pair.Key() < k {
+			j++
+		}
+		if j == len(old) || old[j].Pair.Key() != k {
+			out = append(out, c.Pair)
+		}
+	}
 	return out
 }

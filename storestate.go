@@ -161,7 +161,7 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 		o(&opts)
 	}
 	opts.Canopy = p.blocking
-	exp, err := setup(d, opts, cover)
+	exp, err := setup(d, opts, index, cover)
 	if err != nil {
 		return nil, 0, err
 	}
