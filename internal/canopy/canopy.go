@@ -105,8 +105,7 @@ func Canopies(names []string, cfg Config) [][]core.EntityID {
 }
 
 // scored is one canopy candidate of a seed: a record id with its cheap
-// q-gram similarity to the seed. The fields are exported for gob (see
-// Index.Save).
+// q-gram similarity to the seed.
 type scored struct {
 	ID  core.EntityID
 	Sim float64
@@ -285,11 +284,20 @@ func GreedyTotalCover(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityI
 // under record ingestion (the property the incremental Index relies
 // on). The result is NOT necessarily total; run GreedyTotalCover first.
 //
+// The additions of pair source i depend only on its members, their
+// coauthors and the name levels of those records, which are fixed per
+// name pair. So the returned lists, one per pair source, are reusable:
+// prev[i] stands for pairSets[i] when it was built from the same members
+// and no member is marked in gained — the records that gained a coauthor
+// since prev was built, i.e. the old neighbours of every record ingested
+// since. Only the other pair sources re-walk their coauthor products.
+// prev and gained may be nil.
+//
 // levels memoises name similarity across calls; it is extended here
 // with d's records, so an Index can keep one for its whole stream.
-func alignedExpandInto(levels *nameLevels, d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAligned int) [][]core.EntityID {
+func alignedExpandInto(levels *nameLevels, d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAligned int, prev []alignedAdds, gained []bool) ([][]core.EntityID, []alignedAdds) {
 	if maxAligned <= 0 {
-		return sets
+		return sets, nil
 	}
 	rel := d.Coauthor()
 	// Sets overlap heavily and the coauthor products revisit the same
@@ -298,20 +306,17 @@ func alignedExpandInto(levels *nameLevels, d *bib.Dataset, pairSets, sets [][]co
 	levels.extend(d)
 	lvl := levels.level
 	out := make([][]core.EntityID, len(sets))
+	lists := make([]alignedAdds, len(sets))
 	var combos []alignedPair // reused scratch
+	var adds []core.EntityID // reused scratch
 	for si, set := range sets {
-		member := make(map[core.EntityID]bool, len(set))
-		expanded := append([]core.EntityID(nil), set...)
-		for _, e := range set {
-			member[e] = true
-		}
-		add := func(e core.EntityID) {
-			if !member[e] {
-				member[e] = true
-				expanded = append(expanded, e)
-			}
-		}
 		pairSet := pairSets[si]
+		if si < len(prev) && prev[si].reusable(pairSet, gained) {
+			lists[si] = prev[si]
+			out[si] = unionSorted(set, lists[si].adds)
+			continue
+		}
+		adds = adds[:0]
 		for i := 0; i < len(pairSet); i++ {
 			for j := i + 1; j < len(pairSet); j++ {
 				a, b := pairSet[i], pairSet[j]
@@ -340,16 +345,60 @@ func alignedExpandInto(levels *nameLevels, d *bib.Dataset, pairSets, sets [][]co
 					if lvl(q.c1, q.c2) == similarity.LevelNone {
 						continue
 					}
-					add(q.c1)
-					add(q.c2)
+					adds = append(adds, q.c1, q.c2)
 					taken++
 				}
 			}
 		}
-		sort.Slice(expanded, func(a, b int) bool { return expanded[a] < expanded[b] })
-		out[si] = expanded
+		slices.Sort(adds)
+		lists[si] = alignedAdds{src: pairSet, adds: slices.Clone(slices.Compact(adds))}
+		out[si] = unionSorted(set, lists[si].adds)
 	}
-	return out
+	return out, lists
+}
+
+// alignedAdds is the aligned context one pair source contributes: the
+// ascending, duplicate-free additions, and the pair source they were
+// built from (read-only).
+type alignedAdds struct {
+	src, adds []core.EntityID
+}
+
+// reusable reports whether the additions still hold for pairSet: same
+// members, none of which gained a coauthor.
+func (l alignedAdds) reusable(pairSet []core.EntityID, gained []bool) bool {
+	if !slices.Equal(l.src, pairSet) {
+		return false
+	}
+	for _, e := range pairSet {
+		if int(e) < len(gained) && gained[e] {
+			return false
+		}
+	}
+	return true
+}
+
+// unionSorted returns the ascending union of two ascending,
+// duplicate-free slices, as a new slice.
+func unionSorted(a, b []core.EntityID) []core.EntityID {
+	out := make([]core.EntityID, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // alignedPair is one (c1, c2) aligned-coauthor candidate.

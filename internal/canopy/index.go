@@ -51,6 +51,7 @@ type Index struct {
 	postings [][]int32         // gram id -> records containing it, ascending
 	cands    [][]scored        // loose candidates per record, ascending id
 	levels   *nameLevels       // name-level memo of aligned expansion and CandidatePairs; not saved
+	aligned  []alignedAdds     // aligned additions per canopy of the last cover; not saved
 
 	prevSets map[string]bool   // content keys of the previous cover's sets
 	prevByID [][]core.EntityID // previous cover's sets by id (aliases, read-only)
@@ -122,15 +123,16 @@ func (ix *Index) Cover() *core.Cover {
 // d.Refs[ix.Len():] — into the q-gram structures, rebuilds the total
 // cover over all of d, and reports the delta. The caller owns dataset
 // synthesis: d must extend the previously ingested records in place
-// (names of records [0, ix.Len()) unchanged), which DatasetFromRecords
-// guarantees for appended record batches.
+// (names and groups of records [0, ix.Len()) unchanged), which
+// DatasetFromRecords guarantees for appended record batches.
 //
 // Cost is proportional to the delta: each new record is scored once
 // against the postings of the records before it, old records are never
-// re-scored, and only canopy emission plus cover patching — bookkeeping
-// over cached candidate lists — runs over the full corpus. A canceled
-// ctx aborts with ctx.Err(); records already scored stay ingested, and
-// the next Add resumes after them.
+// re-scored, the aligned expansion re-walks only the canopies the delta
+// can change (see alignedExpandInto), and only canopy emission plus
+// cover patching — bookkeeping over cached lists — runs over the full
+// corpus. A canceled ctx aborts with ctx.Err(); records already scored
+// stay ingested, and the next Add resumes after them.
 func (ix *Index) Add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -183,6 +185,7 @@ func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 	sets := ix.emit()
 
 	// Phase 3 — total-cover construction.
+	var aligned []alignedAdds
 	if ix.cfg.FullBoundary {
 		sets = ExpandBoundary(sets, d.Coauthor())
 	} else {
@@ -201,12 +204,15 @@ func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 		if ix.levels == nil {
 			ix.levels = newNameLevels()
 		}
-		sets = alignedExpandInto(ix.levels, d, canopies, sets, ix.cfg.MaxAligned)
+		sets, aligned = alignedExpandInto(ix.levels, d, canopies, sets, ix.cfg.MaxAligned, ix.aligned, gainedCoauthor(d, covered))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	// The aligned lists describe this cover: they advance with it, so a
+	// canceled Add can never leave them ahead of it.
 	ix.cover = core.NewCover(n, sets)
+	ix.aligned = aligned
 
 	// Phase 4 — diff against the previous cover, by content (Changed)
 	// and by id (Additive). Set ids are stable under ingestion, so the
@@ -228,6 +234,21 @@ func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 	ix.prevSets = next
 	ix.prevByID = ix.cover.Sets
 	return ix.cover, delta, nil
+}
+
+// gainedCoauthor marks the records of d that gained a coauthor since
+// the first covered records were covered: every coauthor of a record
+// with id ≥ covered. Records only append, so edges among older records
+// never change.
+func gainedCoauthor(d *bib.Dataset, covered int) []bool {
+	rel := d.Coauthor()
+	gained := make([]bool, d.NumRefs())
+	for id := covered; id < d.NumRefs(); id++ {
+		for _, u := range rel.Neighbors(core.EntityID(id)) {
+			gained[u] = true
+		}
+	}
+	return gained
 }
 
 // subsetOf reports a ⊆ b for ascending-sorted entity slices.
@@ -331,7 +352,7 @@ func (ix *Index) score(ctx context.Context, n int, name func(id int) string) err
 		for _, j := range touched {
 			inter := int(count[j])
 			count[j] = 0
-			if s := float64(inter) / float64(la+len(ix.grams[j])-inter); s >= ix.cfg.Loose {
+			if s := gramJaccard(inter, la, len(ix.grams[j])); s >= ix.cfg.Loose {
 				own = append(own, scored{ID: j, Sim: s})
 			}
 		}
@@ -345,6 +366,13 @@ func (ix *Index) score(ctx context.Context, n int, name func(id int) string) err
 		ix.n++
 	}
 	return nil
+}
+
+// gramJaccard is the Jaccard similarity of two gram sets of sizes la and
+// lb sharing inter grams. The scorer and LoadIndex both compute it here,
+// so a reloaded candidate's similarity is bit-identical to the scored one.
+func gramJaccard(inter, la, lb int) float64 {
+	return float64(inter) / float64(la+lb-inter)
 }
 
 // intern appends to buf the distinct gram ids of the normalized name s,

@@ -57,21 +57,29 @@ func coversEqual(a, b *core.Cover) bool {
 // for random arrival sequences (shuffled record order, random batch
 // boundaries), the cover after every Index.Add is identical to the
 // from-scratch reference over the records ingested so far — coverOld,
-// built on the verbatim old canopy algorithm rather than on the Index
-// that BuildCover itself now runs.
+// built on the verbatim old canopy algorithm and the uncached aligned
+// expansion rather than on the Index that BuildCover itself now runs.
+// Besides up to five random batches, every corpus also arrives in
+// 16-record batches, the commit size of a serving stream: many small
+// Adds are where the reused aligned expansions must notice a canopy
+// member gaining a coauthor.
 func TestIndexAddMatchesBuildCover(t *testing.T) {
-	for _, preset := range []datagen.Config{
-		datagen.HEPTHLike(0.25, 42),
-		datagen.DBLPLike(0.25, 42),
-	} {
-		d := datagen.MustGenerate(preset)
-		records := bib.ToRecords(d)
-		for seed := int64(0); seed < 4; seed++ {
-			t.Run(fmt.Sprintf("%s-seed%d", preset.Name, seed), func(t *testing.T) {
+	for _, corpus := range differentialCorpora(t) {
+		for seed := int64(0); seed < 5; seed++ {
+			name := fmt.Sprintf("%s-seed%d", corpus.name, seed)
+			if seed == 4 {
+				name = corpus.name + "-batch16"
+			}
+			t.Run(name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				recs := append([]bib.Record(nil), records...)
+				recs := append([]bib.Record(nil), corpus.records...)
 				rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-				batches := splitBatches(rng, recs, 5)
+				var batches [][]bib.Record
+				if seed == 4 {
+					batches = fixedBatches(recs, 16)
+				} else {
+					batches = splitBatches(rng, recs, 5)
+				}
 
 				ix, err := NewIndex(DefaultConfig())
 				if err != nil {
@@ -80,7 +88,7 @@ func TestIndexAddMatchesBuildCover(t *testing.T) {
 				var ingested []bib.Record
 				for bi, batch := range batches {
 					ingested = append(ingested, batch...)
-					union, err := bib.DatasetFromRecords(preset.Name, ingested)
+					union, err := bib.DatasetFromRecords(corpus.name, ingested)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -106,12 +114,43 @@ func TestIndexAddMatchesBuildCover(t *testing.T) {
 						}
 					}
 				}
-				if ix.Len() != len(records) {
-					t.Fatalf("index ingested %d records, want %d", ix.Len(), len(records))
+				if ix.Len() != len(corpus.records) {
+					t.Fatalf("index ingested %d records, want %d", ix.Len(), len(corpus.records))
 				}
 			})
 		}
 	}
+}
+
+// differentialCorpus is one record stream of the delta-ingestion tests.
+type differentialCorpus struct {
+	name    string
+	records []bib.Record
+}
+
+// differentialCorpora returns the HEPTH-, DBLP- and People-like corpora
+// as record streams.
+func differentialCorpora(t *testing.T) []differentialCorpus {
+	t.Helper()
+	var out []differentialCorpus
+	for _, preset := range []datagen.Config{
+		datagen.HEPTHLike(0.25, 42),
+		datagen.DBLPLike(0.25, 42),
+	} {
+		out = append(out, differentialCorpus{preset.Name, bib.ToRecords(datagen.MustGenerate(preset))})
+	}
+	people := datagen.PeopleLike(0.25, 42)
+	return append(out, differentialCorpus{"people-like", datagen.MustGeneratePeople(people)})
+}
+
+// fixedBatches cuts records into consecutive batches of size k (the last
+// one possibly shorter).
+func fixedBatches(recs []bib.Record, k int) [][]bib.Record {
+	var out [][]bib.Record
+	for lo := 0; lo < len(recs); lo += k {
+		out = append(out, recs[lo:min(lo+k, len(recs))])
+	}
+	return out
 }
 
 // TestIndexEmitMatchesOldAlgorithm extends the oldcmp pinning to the
@@ -220,6 +259,54 @@ func TestIndexAddResumesAfterCancel(t *testing.T) {
 	}
 	if len(delta.NewEntities) != d.NumRefs() {
 		t.Fatalf("resumed Add reports %d new entities, want %d", len(delta.NewEntities), d.NumRefs())
+	}
+}
+
+// TestIndexAddCanceledAfterExpansion: an Add canceled after its aligned
+// expansion ran leaves the index at its previous cover, and the next Add
+// — over more records, so some reused expansions must be invalidated —
+// still reaches the reference cover.
+func TestIndexAddCanceledAfterExpansion(t *testing.T) {
+	records := datagen.MustGeneratePeople(datagen.PeopleLike(0.25, 42))
+	rng := rand.New(rand.NewSource(3))
+	rng.Shuffle(len(records), func(i, j int) { records[i], records[j] = records[j], records[i] })
+	dataset := func(n int) *bib.Dataset {
+		d, err := bib.DatasetFromRecords("people-like", records[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	ix, err := NewIndex(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n0, n1 := len(records)/2, len(records)/2+16
+	before, _, err := ix.Add(context.Background(), dataset(n0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One Err call per scored record, one after emission, one after
+	// totality patching; the next one follows the aligned expansion.
+	ctx := &cancelAfter{Context: context.Background(), n: (n1 - n0) + 2}
+	if _, _, err := ix.Add(ctx, dataset(n1)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Add: err = %v, want context.Canceled", err)
+	}
+	if ctx.calls != ctx.n+1 {
+		t.Fatalf("Add checked its context %d times, want the cancellation at check %d (after expansion)", ctx.calls, ctx.n+1)
+	}
+	if ix.Cover() != before {
+		t.Fatal("a canceled Add replaced the cover")
+	}
+	for _, n := range []int{n1 + 16, len(records)} {
+		d := dataset(n)
+		got, _, err := ix.Add(context.Background(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !coversEqual(got, coverOld(d, DefaultConfig())) {
+			t.Fatalf("cover over %d records after a canceled Add differs from the reference", n)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package canopy
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -141,13 +142,81 @@ func candidatePairsOld(d *bib.Dataset, cover *core.Cover) []SimilarPair {
 }
 
 // coverOld is the reference total cover, independent of the Index:
-// canopiesOld, then totality patching and aligned expansion as
-// BuildCover applies them.
+// canopiesOld, then totality patching and the uncached aligned expansion
+// as BuildCover applies them.
 func coverOld(d *bib.Dataset, cfg Config) *core.Cover {
 	canopies := canopiesOld(datasetNames(d), cfg)
 	sets := GreedyTotalCover(canopies, d.Coauthor())
-	sets = alignedExpandInto(newNameLevels(), d, canopies, sets, cfg.MaxAligned)
+	sets = alignedExpandOld(newNameLevels(), d, canopies, sets, cfg.MaxAligned)
 	return core.NewCover(d.NumRefs(), sets)
+}
+
+// alignedExpandOld is the aligned expansion before it kept per-canopy
+// addition lists for reuse, kept verbatim: every call re-walks every
+// pair source's coauthor products.
+func alignedExpandOld(levels *nameLevels, d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAligned int) [][]core.EntityID {
+	if maxAligned <= 0 {
+		return sets
+	}
+	rel := d.Coauthor()
+	// Sets overlap heavily and the coauthor products revisit the same
+	// pairs constantly; one memoised similarity evaluation per distinct
+	// name pair replaces thousands of repeated (allocating) Jaro runs.
+	levels.extend(d)
+	lvl := levels.level
+	out := make([][]core.EntityID, len(sets))
+	var combos []alignedPair // reused scratch
+	for si, set := range sets {
+		member := make(map[core.EntityID]bool, len(set))
+		expanded := append([]core.EntityID(nil), set...)
+		for _, e := range set {
+			member[e] = true
+		}
+		add := func(e core.EntityID) {
+			if !member[e] {
+				member[e] = true
+				expanded = append(expanded, e)
+			}
+		}
+		pairSet := pairSets[si]
+		for i := 0; i < len(pairSet); i++ {
+			for j := i + 1; j < len(pairSet); j++ {
+				a, b := pairSet[i], pairSet[j]
+				if lvl(a, b) == similarity.LevelNone {
+					continue
+				}
+				// Gather the coauthor combinations (cheap, no similarity
+				// yet), order them by the ingestion-stable priority, and
+				// only then test name similarity, stopping at maxAligned
+				// qualifying pairs — the expensive comparisons stay
+				// proportional to the scan prefix, not the full product.
+				combos = combos[:0]
+				for _, c1 := range rel.Neighbors(a) {
+					for _, c2 := range rel.Neighbors(b) {
+						if c1 != c2 {
+							combos = append(combos, alignedPair{c1: c1, c2: c2})
+						}
+					}
+				}
+				slices.SortFunc(combos, alignedPair.compare)
+				taken := 0
+				for _, q := range combos {
+					if taken >= maxAligned {
+						break
+					}
+					if lvl(q.c1, q.c2) == similarity.LevelNone {
+						continue
+					}
+					add(q.c1)
+					add(q.c2)
+					taken++
+				}
+			}
+		}
+		sort.Slice(expanded, func(a, b int) bool { return expanded[a] < expanded[b] })
+		out[si] = expanded
+	}
+	return out
 }
 
 func datasetNames(d *bib.Dataset) []string {

@@ -1,9 +1,10 @@
 package canopy
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 )
@@ -13,56 +14,99 @@ import (
 // A serving process that keeps its state in a disk store saves the
 // delta index alongside the run snapshot; on restart, LoadIndex
 // restores the full blocking state — the gram dictionary, every
-// record's interned gram ids, the postings by gram id, the cached
-// candidate lists, and the previous cover — so ingestion resumes
-// incrementally without re-scoring the corpus (the expensive half of
-// blocking). The format is gob over an exported mirror struct of slices
-// only, so equal indexes encode to equal bytes, versioned by a leading
-// magic string; it is a cache, so a failed load — including a blob of
-// an older version — is recoverable by replaying records through a
-// fresh index.
+// record's interned gram ids, the cached candidate lists, and the
+// previous cover — so ingestion resumes incrementally without
+// re-scoring the corpus (the expensive half of blocking). The blob holds
+// only what cannot be derived: the postings are rebuilt on load from
+// the records' gram ids, and the candidate lists are stored once per
+// pair (each record's candidates at or above its own id) without their
+// similarities, which are recomputed from the gram sets exactly as the
+// scorer computed them.
+//
+// The format, after the magic line, is a sequence of minimally encoded
+// unsigned varints, apart from the two float thresholds and the two
+// flag bytes (0 or 1):
+//
+//	config    Loose and Tight as 8-byte little-endian IEEE-754 bits,
+//	          then Q, MaxAligned, MaxNeighborhood, the FullBoundary byte
+//	records   n
+//	dict      count, then each gram as length + bytes, in gram-id order
+//	grams     per record: an ascending id list of its grams
+//	cands     per record i: an ascending id list of its candidates ≥ i
+//	cover     byte 0, or byte 1 + entities + set count + one ascending
+//	          id list per set
+//
+// An ascending id list is its length, the first id less the list's
+// floor (0, or i for candidates), then the gaps between successive ids,
+// each at least 1 — the delta coding of internal/wire's key batches.
+// LoadIndex rejects ids out of range or out of order and trailing
+// bytes, so every blob it accepts re-encodes to the same bytes. The
+// blob is a cache: a failed load — including a blob of an older version
+// — is recoverable by replaying records through a fresh index.
 
-const indexBlobMagic = "CEMP2\n"
-
-// indexWire mirrors Index with exported fields for gob.
-type indexWire struct {
-	Cfg      Config
-	N        int
-	Dict     []string // gram id -> gram
-	Grams    [][]uint32
-	Postings [][]int32
-	Cands    [][]scored
-	Sets     [][]core.EntityID // the last cover's sets; nil before the first Add
-	Entities int               // the last cover's entity universe
-	HasCover bool
-}
+const indexBlobMagic = "CEMP3\n"
 
 // Save serializes the index's full blocking state.
 func (ix *Index) Save() ([]byte, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	w := indexWire{
-		Cfg:      ix.cfg,
-		N:        ix.n,
-		Dict:     make([]string, len(ix.dict)),
-		Grams:    ix.grams,
-		Postings: ix.postings,
-		Cands:    ix.cands,
+	buf := make([]byte, 0, 64+8*ix.n)
+	buf = append(buf, indexBlobMagic...)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ix.cfg.Loose))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ix.cfg.Tight))
+	buf = binary.AppendUvarint(buf, uint64(ix.cfg.Q))
+	buf = binary.AppendUvarint(buf, uint64(ix.cfg.MaxAligned))
+	buf = binary.AppendUvarint(buf, uint64(ix.cfg.MaxNeighborhood))
+	fullBoundary := byte(0)
+	if ix.cfg.FullBoundary {
+		fullBoundary = 1
 	}
+	buf = append(buf, fullBoundary)
+	buf = binary.AppendUvarint(buf, uint64(ix.n))
+
+	dict := make([]string, len(ix.dict))
 	for gram, gid := range ix.dict {
-		w.Dict[gid] = gram
+		dict[gid] = gram
 	}
-	if ix.cover != nil {
-		w.HasCover = true
-		w.Sets = ix.cover.Sets
-		w.Entities = ix.cover.NumEntities
+	buf = binary.AppendUvarint(buf, uint64(len(dict)))
+	for _, gram := range dict {
+		buf = binary.AppendUvarint(buf, uint64(len(gram)))
+		buf = append(buf, gram...)
 	}
-	var buf bytes.Buffer
-	buf.WriteString(indexBlobMagic)
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, fmt.Errorf("canopy: encoding index: %w", err)
+	for _, g := range ix.grams {
+		buf = appendIDs(buf, 0, g)
 	}
-	return buf.Bytes(), nil
+	var upper []int32
+	for i, cs := range ix.cands {
+		upper = upper[:0]
+		for _, c := range cs {
+			if int(c.ID) >= i {
+				upper = append(upper, c.ID)
+			}
+		}
+		buf = appendIDs(buf, i, upper)
+	}
+	if ix.cover == nil {
+		return append(buf, 0), nil
+	}
+	buf = append(buf, 1)
+	buf = binary.AppendUvarint(buf, uint64(ix.cover.NumEntities))
+	buf = binary.AppendUvarint(buf, uint64(len(ix.cover.Sets)))
+	for _, set := range ix.cover.Sets {
+		buf = appendIDs(buf, 0, set)
+	}
+	return buf, nil
+}
+
+// appendIDs appends an ascending id list, every id ≥ floor.
+func appendIDs[T int32 | uint32](buf []byte, floor int, ids []T) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	prev := uint64(floor)
+	for _, id := range ids {
+		buf = binary.AppendUvarint(buf, uint64(id)-prev)
+		prev = uint64(id)
+	}
+	return buf
 }
 
 // LoadIndex restores an index saved with Save. The restored index is
@@ -72,73 +116,197 @@ func LoadIndex(data []byte) (*Index, error) {
 	if len(data) < len(indexBlobMagic) || string(data[:len(indexBlobMagic)]) != indexBlobMagic {
 		return nil, fmt.Errorf("canopy: index blob lacks the %q header", indexBlobMagic[:len(indexBlobMagic)-1])
 	}
-	var w indexWire
-	if err := gob.NewDecoder(bytes.NewReader(data[len(indexBlobMagic):])).Decode(&w); err != nil {
-		return nil, fmt.Errorf("canopy: decoding index: %w", err)
-	}
-	ix, err := NewIndex(w.Cfg)
+	ix, err := decodeIndex(&blobReader{buf: data[len(indexBlobMagic):]})
 	if err != nil {
-		return nil, fmt.Errorf("canopy: index blob config: %w", err)
-	}
-	if err := w.check(); err != nil {
-		return nil, fmt.Errorf("canopy: index blob inconsistent: %w", err)
-	}
-	ix.n = w.N
-	ix.grams = w.Grams
-	ix.postings = w.Postings
-	for gid, gram := range w.Dict {
-		ix.dict[gram] = uint32(gid)
-	}
-	ix.cands = w.Cands
-	if w.HasCover {
-		ix.cover = core.NewCover(w.Entities, w.Sets)
-		ix.prevByID = ix.cover.Sets
-		for _, set := range ix.cover.Sets {
-			ix.prevSets[setKey(set)] = true
-		}
+		return nil, fmt.Errorf("canopy: index blob: %w", err)
 	}
 	return ix, nil
 }
 
-// check verifies that every id the blob holds is in range, so a corrupt
-// blob fails to load instead of indexing out of bounds later.
-func (w *indexWire) check() error {
-	if w.N != len(w.Grams) || w.N != len(w.Cands) {
-		return fmt.Errorf("%d records, %d gram sets, %d candidate lists", w.N, len(w.Grams), len(w.Cands))
+func decodeIndex(r *blobReader) (*Index, error) {
+	cfg := Config{
+		Loose:           math.Float64frombits(r.fixed64()),
+		Tight:           math.Float64frombits(r.fixed64()),
+		Q:               r.int(),
+		MaxAligned:      r.int(),
+		MaxNeighborhood: r.int(),
+		FullBoundary:    r.flag(),
 	}
-	if len(w.Dict) != len(w.Postings) {
-		return fmt.Errorf("%d grams, %d posting lists", len(w.Dict), len(w.Postings))
+	n := r.count()
+	if r.err != nil {
+		return nil, r.err
 	}
-	if w.HasCover && w.Entities != w.N {
-		return fmt.Errorf("cover spans %d entities over %d records", w.Entities, w.N)
+	ix, err := NewIndex(cfg)
+	if err != nil {
+		return nil, err
 	}
-	for _, g := range w.Grams {
-		for _, gid := range g {
-			if int(gid) >= len(w.Dict) {
-				return fmt.Errorf("gram id %d of %d", gid, len(w.Dict))
+	grams := r.count()
+	for gid := 0; gid < grams && r.err == nil; gid++ {
+		gram := string(r.bytes(r.count()))
+		if _, dup := ix.dict[gram]; dup && r.err == nil {
+			return nil, fmt.Errorf("gram %q listed twice", gram)
+		}
+		ix.dict[gram] = uint32(gid)
+	}
+	ix.postings = make([][]int32, grams)
+	ix.n = n
+	ix.grams = make([][]uint32, n)
+	for id := range ix.grams {
+		ix.grams[id] = ids[uint32](r, 0, grams)
+		for _, gid := range ix.grams[id] {
+			ix.postings[gid] = append(ix.postings[gid], int32(id))
+		}
+	}
+	ix.cands = make([][]scored, n)
+	for i := range ix.cands {
+		for _, j := range ids[int32](r, i, n) {
+			s := jaccardOf(ix.grams[i], ix.grams[j])
+			ix.cands[i] = append(ix.cands[i], scored{ID: j, Sim: s})
+			if int(j) != i {
+				ix.cands[j] = append(ix.cands[j], scored{ID: core.EntityID(i), Sim: s})
 			}
 		}
 	}
-	for _, p := range w.Postings {
-		for _, id := range p {
-			if id < 0 || int(id) >= w.N {
-				return fmt.Errorf("posting %d of %d records", id, w.N)
+	if r.flag() {
+		if entities := r.int(); entities != n && r.err == nil {
+			return nil, fmt.Errorf("cover spans %d entities over %d records", entities, n)
+		}
+		sets := make([][]core.EntityID, r.count())
+		for i := range sets {
+			sets[i] = ids[int32](r, 0, n)
+		}
+		if r.err == nil {
+			ix.cover = core.NewCover(n, sets)
+			ix.prevByID = ix.cover.Sets
+			for _, set := range ix.cover.Sets {
+				ix.prevSets[setKey(set)] = true
 			}
 		}
 	}
-	for _, cs := range w.Cands {
-		for _, c := range cs {
-			if c.ID < 0 || int(c.ID) >= w.N {
-				return fmt.Errorf("candidate %d of %d records", c.ID, w.N)
-			}
+	if r.err == nil && len(r.buf) > 0 {
+		return nil, fmt.Errorf("%d trailing bytes", len(r.buf))
+	}
+	return ix, r.err
+}
+
+// jaccardOf is the q-gram Jaccard of two ascending gram-id sets.
+func jaccardOf(a, b []uint32) float64 {
+	inter, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			inter++
+			i++
+			j++
 		}
 	}
-	for _, set := range w.Sets {
-		for _, e := range set {
-			if e < 0 || int(e) >= w.N {
-				return fmt.Errorf("cover member %d of %d records", e, w.N)
-			}
-		}
+	return gramJaccard(inter, len(a), len(b))
+}
+
+// blobReader consumes a postings blob, keeping the first error: after
+// it, every read returns a zero value.
+type blobReader struct {
+	buf []byte
+	err error
+}
+
+var errTruncated = errors.New("truncated")
+
+func (r *blobReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
 	}
-	return nil
+	r.buf = nil
+}
+
+// uvarint reads a minimally encoded unsigned varint.
+func (r *blobReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.buf)
+	switch {
+	case n == 0:
+		r.fail(errTruncated)
+		return 0
+	case n < 0 || (n > 1 && r.buf[n-1] == 0):
+		r.fail(errors.New("malformed varint"))
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return v
+}
+
+// int reads a varint that must fit an int32.
+func (r *blobReader) int() int {
+	v := r.uvarint()
+	if v > math.MaxInt32 {
+		r.fail(fmt.Errorf("value %d out of range", v))
+		return 0
+	}
+	return int(v)
+}
+
+// count reads a length, bounded by the remaining bytes (every counted
+// element takes at least one).
+func (r *blobReader) count() int {
+	v := r.uvarint()
+	if v > uint64(len(r.buf)) {
+		r.fail(fmt.Errorf("count %d exceeds the %d remaining bytes", v, len(r.buf)))
+		return 0
+	}
+	return int(v)
+}
+
+func (r *blobReader) flag() bool {
+	b := r.bytes(1)
+	if len(b) == 1 && b[0] > 1 {
+		r.fail(fmt.Errorf("flag byte %d", b[0]))
+	}
+	return len(b) == 1 && b[0] == 1
+}
+
+func (r *blobReader) fixed64() uint64 {
+	b := r.bytes(8)
+	if len(b) < 8 {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+func (r *blobReader) bytes(n int) []byte {
+	if n > len(r.buf) {
+		r.fail(errTruncated)
+		return nil
+	}
+	b := r.buf[:n]
+	r.buf = r.buf[n:]
+	return b
+}
+
+// ids reads an ascending id list of ids in [floor, limit), floor ≤ limit.
+func ids[T int32 | uint32](r *blobReader, floor, limit int) []T {
+	k := r.count()
+	if k == 0 {
+		return nil
+	}
+	out := make([]T, k)
+	prev := uint64(floor)
+	for i := range out {
+		d := r.uvarint()
+		switch {
+		case r.err != nil:
+			return nil
+		case i > 0 && d == 0:
+			r.fail(errors.New("ids not ascending"))
+			return nil
+		case d >= uint64(limit)-prev:
+			r.fail(fmt.Errorf("id out of range [%d, %d)", floor, limit))
+			return nil
+		}
+		prev += d
+		out[i] = T(prev)
+	}
+	return out
 }

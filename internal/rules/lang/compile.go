@@ -33,10 +33,30 @@ var (
 // clauses lowered to the engine's rule slice and the level clauses
 // ordered strongest-first for candidate re-discretization.
 type Plan struct {
-	Prog       *Program
-	Rules      []rules.Rule
-	fieldIdx   map[string]int
-	byStrength []LevelClause
+	Prog     *Program
+	Rules    []rules.Rule
+	fieldIdx map[string]int
+	levels   []levelCond // level clauses, strongest first
+	seeds    []seedCond  // seed clauses, in declaration order
+}
+
+// pred is a Pred with its field resolved to the declaration index.
+type pred struct {
+	field int
+	op    Op
+	num   float64
+}
+
+// levelCond is a compiled level clause.
+type levelCond struct {
+	level similarity.Level
+	cond  []pred
+}
+
+// seedCond is a compiled seed clause.
+type seedCond struct {
+	seed rules.Seed
+	cond []pred
 }
 
 // Compile validates the parsed program and lowers it to a Plan. Errors
@@ -90,10 +110,17 @@ func Compile(p *Program) (*Plan, error) {
 	if err := rules.Validate(pl.Rules); err != nil {
 		return nil, err
 	}
-	pl.byStrength = append([]LevelClause(nil), p.Levels...)
-	sort.Slice(pl.byStrength, func(i, j int) bool {
-		return pl.byStrength[i].Level > pl.byStrength[j].Level
-	})
+	for _, lc := range p.Levels {
+		pl.levels = append(pl.levels, levelCond{similarity.Level(lc.Level), pl.resolve(lc.Cond)})
+	}
+	sort.Slice(pl.levels, func(i, j int) bool { return pl.levels[i].level > pl.levels[j].level })
+	for _, sc := range p.Seeds {
+		seed := rules.SeedEqual
+		if sc.Negated {
+			seed = rules.SeedDistinct
+		}
+		pl.seeds = append(pl.seeds, seedCond{seed, pl.resolve(sc.Cond)})
+	}
 	return pl, nil
 }
 
@@ -132,66 +159,100 @@ func fieldNames(fs []FieldDecl) []string {
 	return out
 }
 
-// fieldVal returns the named field of a split composite key; fields past
-// the end of a short key are empty (missing data, never evidence).
-func (pl *Plan) fieldVal(fields []string, name string) string {
-	idx := pl.fieldIdx[name]
-	if idx >= len(fields) {
-		return ""
+// resolve compiles a checked conjunction, looking each field up once.
+func (pl *Plan) resolve(cond []Pred) []pred {
+	out := make([]pred, len(cond))
+	for i, pr := range cond {
+		out[i] = pred{field: pl.fieldIdx[pr.Field], op: pr.Op, num: pr.Num}
 	}
-	return fields[idx]
+	return out
 }
 
-func evalPred(pr Pred, a, b string) bool {
-	switch pr.Op {
+// row is one record's declared fields, split from its composite key:
+// norm holds each field normalised (similarity.NormalizeField), raw the
+// trimmed field as written. Fields past the end of a short key are
+// empty (missing data, never evidence).
+type row struct{ norm, raw []string }
+
+// newRow splits and normalises a composite key into nf fields.
+func newRow(key string, nf int) row {
+	buf := make([]string, 2*nf)
+	r := row{norm: buf[:nf:nf], raw: buf[nf:]}
+	fs := similarity.SplitFields(key)
+	for i := range min(nf, len(fs)) {
+		r.raw[i] = fs[i]
+		r.norm[i] = similarity.NormalizeField(fs[i])
+	}
+	return r
+}
+
+// eval applies the predicate to the field of both rows. The string
+// measures run on the normalised values — each measure of
+// internal/similarity's Field kernels without their per-call
+// normalisation — and absdiff parses the raw ones.
+func (pr pred) eval(a, b row) bool {
+	na, nb := a.norm[pr.field], b.norm[pr.field]
+	switch pr.op {
 	case OpEqual:
-		return similarity.FieldEqual(a, b)
+		return na != "" && na == nb
 	case OpDiffer:
-		return similarity.FieldDiffer(a, b)
+		return na != "" && nb != "" && na != nb
 	case OpJaro:
-		return similarity.FieldJaro(a, b) >= pr.Num
+		return similarity.JaroWinkler(na, nb) >= pr.num
 	case OpQGram:
-		return similarity.FieldQGram(a, b) >= pr.Num
+		return similarity.QGramJaccard(na, nb, 2) >= pr.num
 	case OpLev:
-		return similarity.FieldLev(a, b) <= int(pr.Num)
+		return similarity.Levenshtein(na, nb) <= int(pr.num)
 	case OpAbsDiff:
-		d, ok := similarity.AbsDiff(a, b)
-		return ok && d <= pr.Num
+		d, ok := similarity.AbsDiff(a.raw[pr.field], b.raw[pr.field])
+		return ok && d <= pr.num
 	}
 	return false
 }
 
-// holds evaluates a conjunction over two split composite keys.
-func (pl *Plan) holds(cond []Pred, fa, fb []string) bool {
+// holds evaluates a conjunction over two rows.
+func holds(cond []pred, a, b row) bool {
 	for _, pr := range cond {
-		if !evalPred(pr, pl.fieldVal(fa, pr.Field), pl.fieldVal(fb, pr.Field)) {
+		if !pr.eval(a, b) {
 			return false
 		}
 	}
 	return true
 }
 
-// levelOfFields assigns the highest declared level whose condition holds,
+// levelOfRows assigns the highest declared level whose condition holds,
 // or LevelNone when none does.
-func (pl *Plan) levelOfFields(fa, fb []string) similarity.Level {
-	for _, lc := range pl.byStrength {
-		if pl.holds(lc.Cond, fa, fb) {
-			return similarity.Level(lc.Level)
+func (pl *Plan) levelOfRows(a, b row) similarity.Level {
+	for _, lc := range pl.levels {
+		if holds(lc.cond, a, b) {
+			return lc.level
 		}
 	}
 	return similarity.LevelNone
+}
+
+// seedOfRows returns the seed flags of every seed clause that holds.
+func (pl *Plan) seedOfRows(a, b row) rules.Seed {
+	var seed rules.Seed
+	for _, sc := range pl.seeds {
+		if holds(sc.cond, a, b) {
+			seed |= sc.seed
+		}
+	}
+	return seed
 }
 
 // LevelOf discretizes the similarity of two composite record keys with
 // the program's level clauses. It is only meaningful for programs that
 // declare level clauses; without any it returns LevelNone for everything.
 func (pl *Plan) LevelOf(keyA, keyB string) similarity.Level {
-	return pl.levelOfFields(similarity.SplitFields(keyA), similarity.SplitFields(keyB))
+	nf := len(pl.Prog.Fields)
+	return pl.levelOfRows(newRow(keyA, nf), newRow(keyB, nf))
 }
 
 // Relevels reports whether the plan re-discretizes candidate levels
 // (i.e. the program declares level clauses).
-func (pl *Plan) Relevels() bool { return len(pl.byStrength) > 0 }
+func (pl *Plan) Relevels() bool { return len(pl.levels) > 0 }
 
 // Seeded reports whether the plan injects hard evidence seeds.
-func (pl *Plan) Seeded() bool { return len(pl.Prog.Seeds) > 0 }
+func (pl *Plan) Seeded() bool { return len(pl.seeds) > 0 }

@@ -4,7 +4,6 @@ import (
 	"repro/internal/bib"
 	"repro/internal/core"
 	"repro/internal/rules"
-	"repro/internal/similarity"
 )
 
 // NewMatcher grounds the plan over a dataset and the blocking stage's
@@ -23,42 +22,40 @@ import (
 // evaluated over candidate pairs only, preserving the candidate-closure
 // contract: output ⊆ candidates ∪ echoed evidence.
 func (pl *Plan) NewMatcher(d *bib.Dataset, cands []rules.Candidate) (core.Matcher, error) {
-	fieldCache := make(map[core.EntityID][]string)
-	fieldsOf := func(e core.EntityID) []string {
-		if fs, ok := fieldCache[e]; ok {
-			return fs
-		}
-		var fs []string
-		if e >= 0 && int(e) < len(d.Refs) {
-			fs = similarity.SplitFields(d.Refs[e].Name)
-		}
-		fieldCache[e] = fs
-		return fs
-	}
-
-	work := cands
-	if pl.Relevels() || pl.Seeded() {
-		work = make([]rules.Candidate, len(cands))
-		for i, c := range cands {
-			work[i] = c
-			fa, fb := fieldsOf(c.Pair.A), fieldsOf(c.Pair.B)
-			if pl.Relevels() {
-				work[i].Level = pl.levelOfFields(fa, fb)
-			}
-			for _, sc := range pl.Prog.Seeds {
-				if pl.holds(sc.Cond, fa, fb) {
-					if sc.Negated {
-						work[i].Seed |= rules.SeedDistinct
-					} else {
-						work[i].Seed |= rules.SeedEqual
-					}
-				}
-			}
-		}
-	}
-	m, err := rules.New(d, work, pl.Rules)
+	m, err := rules.New(d, pl.ground(d, cands), pl.Rules)
 	if err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// ground applies the level and seed clauses to the candidates, returning
+// cands itself when the plan has neither. Each record's key is split and
+// normalised once, on its first candidate, not once per predicate.
+func (pl *Plan) ground(d *bib.Dataset, cands []rules.Candidate) []rules.Candidate {
+	if !pl.Relevels() && !pl.Seeded() {
+		return cands
+	}
+	nf := len(pl.Prog.Fields)
+	rows := make([]row, len(d.Refs))
+	empty := newRow("", nf)
+	rowOf := func(e core.EntityID) row {
+		if e < 0 || int(e) >= len(rows) {
+			return empty
+		}
+		if rows[e].norm == nil {
+			rows[e] = newRow(d.Refs[e].Name, nf)
+		}
+		return rows[e]
+	}
+	work := make([]rules.Candidate, len(cands))
+	for i, c := range cands {
+		work[i] = c
+		a, b := rowOf(c.Pair.A), rowOf(c.Pair.B)
+		if pl.Relevels() {
+			work[i].Level = pl.levelOfRows(a, b)
+		}
+		work[i].Seed |= pl.seedOfRows(a, b)
+	}
+	return work
 }

@@ -36,8 +36,12 @@ func JoinFields(fields []string) string {
 
 // NormalizeField canonicalizes one field payload the same way ParseName
 // canonicalizes author names: lowercase, '.' and ',' mapped to spaces,
-// whitespace runs collapsed to single spaces, ends trimmed.
+// whitespace runs collapsed to single spaces, ends trimmed. A payload
+// that is already normal is returned as is, without allocating.
 func NormalizeField(s string) string {
+	if isNormalField(s) {
+		return s
+	}
 	clean := strings.Map(func(r rune) rune {
 		switch r {
 		case '.', ',':
@@ -46,6 +50,22 @@ func NormalizeField(s string) string {
 		return r
 	}, strings.ToLower(s))
 	return strings.Join(strings.Fields(clean), " ")
+}
+
+// isNormalField reports whether s is its own NormalizeField: ASCII with
+// no uppercase letter, '.', ',' or whitespace other than single inner
+// spaces.
+func isNormalField(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= 0x80, 'A' <= c && c <= 'Z', c == '.', c == ',',
+			c == '\t', c == '\n', c == '\v', c == '\f', c == '\r':
+			return false
+		case c == ' ' && (i == 0 || i == len(s)-1 || s[i-1] == ' '):
+			return false
+		}
+	}
+	return true
 }
 
 // FieldEqual reports normalized equality of two non-empty fields. Two

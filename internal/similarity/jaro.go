@@ -5,6 +5,10 @@
 // {1, 2, 3} that the MLN and RULES matchers consume.
 package similarity
 
+// jaroStackLen is the longest string whose match flags Jaro keeps on
+// the stack.
+const jaroStackLen = 64
+
 // Jaro returns the Jaro similarity of a and b in [0, 1].
 // It is 1 for identical strings and 0 for strings with no common
 // characters (or when either string is empty and the other is not).
@@ -21,8 +25,17 @@ func Jaro(a, b string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	aMatched := make([]bool, la)
-	bMatched := make([]bool, lb)
+	// Names and field values fit the stack buffers; only longer strings
+	// allocate their match flags.
+	var aBuf, bBuf [jaroStackLen]bool
+	aMatched, bMatched := aBuf[:], bBuf[:]
+	if la > jaroStackLen {
+		aMatched = make([]bool, la)
+	}
+	if lb > jaroStackLen {
+		bMatched = make([]bool, lb)
+	}
+	aMatched, bMatched = aMatched[:la], bMatched[:lb]
 	matches := 0
 	for i := 0; i < la; i++ {
 		lo := i - window

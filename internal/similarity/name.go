@@ -110,16 +110,18 @@ func NameLevel(a, b Name) Level {
 	if a == b {
 		return LevelStrong
 	}
-	s := JaroWinkler(a.String(), b.String())
 	// Guard against first or last names that disagree wholesale even
 	// though the combined string happens to score well ("John Smith" vs
 	// "Jane Smith" shares most of its characters but is no candidate).
+	// Both guards settle LevelNone whatever the full-string score, so
+	// they run first and spare most misses that evaluation.
 	if JaroWinkler(a.Last, b.Last) < lastWeakThreshold {
 		return LevelNone
 	}
 	if a.First != "" && b.First != "" && JaroWinkler(a.First, b.First) < firstCompatibility {
 		return LevelNone
 	}
+	s := JaroWinkler(a.String(), b.String())
 	switch {
 	case s >= fullMediumThreshold:
 		return LevelMedium

@@ -177,18 +177,14 @@ func TestStoreStateReopenValidation(t *testing.T) {
 	}
 }
 
-// TestReopenTreatsV1PostingsAsCacheMiss: a postings blob in the older
-// CEMP1 format is a cache miss in Reopen, not an error — the records are
-// replayed through a fresh index, which reaches byte-identical blocking
-// state. The CEMP1 blob is the current blob under the old version tag,
-// so only the version check can turn it away.
+// TestReopenTreatsV1PostingsAsCacheMiss: a postings blob in an older
+// format (CEMP1, CEMP2) is a cache miss in Reopen, not an error — the
+// records are replayed through a fresh index, which reaches
+// byte-identical blocking state. Each old blob is the current blob under
+// the old version tag, so only the version check can turn it away.
 func TestReopenTreatsV1PostingsAsCacheMiss(t *testing.T) {
 	ctx := context.Background()
 	records := storeRecords(t)
-	s, err := cem.OpenStore("mem")
-	if err != nil {
-		t.Fatal(err)
-	}
 	pipe, err := cem.NewPipeline(cem.WithMatcher(cem.MatcherMLN), cem.WithScheme(cem.SchemeSMP))
 	if err != nil {
 		t.Fatal(err)
@@ -202,38 +198,44 @@ func TestReopenTreatsV1PostingsAsCacheMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cem.SaveState(s, res, 1); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := s.OpenBlob(match.KindPostings, "latest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const v1Magic, v2Magic = "CEMP1\n", "CEMP2\n"
-	if !bytes.HasPrefix(v2, []byte(v2Magic)) {
-		t.Fatalf("postings blob starts %q, want %q", v2[:min(len(v2), 6)], v2Magic)
-	}
-	v1 := append([]byte(v1Magic), v2[len(v2Magic):]...)
-	if err := s.SaveBlob(match.KindPostings, "latest", v1); err != nil {
-		t.Fatal(err)
-	}
+	const magic = "CEMP3\n"
+	for _, oldMagic := range []string{"CEMP1\n", "CEMP2\n"} {
+		s, err := cem.OpenStore("mem")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cem.SaveState(s, res, 1); err != nil {
+			t.Fatal(err)
+		}
+		current, err := s.OpenBlob(match.KindPostings, "latest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(current, []byte(magic)) {
+			t.Fatalf("postings blob starts %q, want %q", current[:min(len(current), 6)], magic)
+		}
+		old := append([]byte(oldMagic), current[len(magic):]...)
+		if err := s.SaveBlob(match.KindPostings, "latest", old); err != nil {
+			t.Fatal(err)
+		}
 
-	reopened, _, err := pipe.Reopen(ctx, records, s)
-	if err != nil {
-		t.Fatalf("Reopen over a CEMP1 postings blob: %v", err)
-	}
-	if got, want := renderMatches(reopened.Result), renderMatches(res.Result); got != want {
-		t.Fatalf("reopened matches diverge: %s", firstDiff(got, want))
-	}
-	if err := cem.SaveState(s, reopened, 2); err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := s.OpenBlob(match.KindPostings, "latest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(replayed, v2) {
-		t.Fatal("the replayed blocking state differs from the state the stream saved")
+		reopened, _, err := pipe.Reopen(ctx, records, s)
+		if err != nil {
+			t.Fatalf("Reopen over a %s postings blob: %v", oldMagic[:5], err)
+		}
+		if got, want := renderMatches(reopened.Result), renderMatches(res.Result); got != want {
+			t.Fatalf("%s: reopened matches diverge: %s", oldMagic[:5], firstDiff(got, want))
+		}
+		if err := cem.SaveState(s, reopened, 2); err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := s.OpenBlob(match.KindPostings, "latest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(replayed, current) {
+			t.Fatalf("%s: the replayed blocking state differs from the state the stream saved", oldMagic[:5])
+		}
 	}
 }
 
