@@ -1,11 +1,10 @@
 package canopy
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 )
 
@@ -38,7 +37,8 @@ import (
 //
 // An ascending id list is its length, the first id less the list's
 // floor (0, or i for candidates), then the gaps between successive ids,
-// each at least 1 — the delta coding of internal/wire's key batches.
+// each at least 1: internal/codec's delta coding, which internal/wire's
+// key batches use too.
 // LoadIndex rejects ids out of range or out of order and trailing
 // bytes, so every blob it accepts re-encodes to the same bytes. The
 // blob is a cache: a failed load — including a blob of an older version
@@ -50,31 +50,25 @@ const indexBlobMagic = "CEMP3\n"
 func (ix *Index) Save() ([]byte, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	buf := make([]byte, 0, 64+8*ix.n)
-	buf = append(buf, indexBlobMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ix.cfg.Loose))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ix.cfg.Tight))
-	buf = binary.AppendUvarint(buf, uint64(ix.cfg.Q))
-	buf = binary.AppendUvarint(buf, uint64(ix.cfg.MaxAligned))
-	buf = binary.AppendUvarint(buf, uint64(ix.cfg.MaxNeighborhood))
-	fullBoundary := byte(0)
-	if ix.cfg.FullBoundary {
-		fullBoundary = 1
-	}
-	buf = append(buf, fullBoundary)
-	buf = binary.AppendUvarint(buf, uint64(ix.n))
+	e := codec.NewEncoder([]byte(indexBlobMagic), 64+8*ix.n)
+	e.Fixed64(math.Float64bits(ix.cfg.Loose))
+	e.Fixed64(math.Float64bits(ix.cfg.Tight))
+	e.Uvarint(uint64(ix.cfg.Q))
+	e.Uvarint(uint64(ix.cfg.MaxAligned))
+	e.Uvarint(uint64(ix.cfg.MaxNeighborhood))
+	e.Byte(flagByte(ix.cfg.FullBoundary))
+	e.Uvarint(uint64(ix.n))
 
 	dict := make([]string, len(ix.dict))
 	for gram, gid := range ix.dict {
 		dict[gid] = gram
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(dict)))
+	e.Uvarint(uint64(len(dict)))
 	for _, gram := range dict {
-		buf = binary.AppendUvarint(buf, uint64(len(gram)))
-		buf = append(buf, gram...)
+		e.String(gram)
 	}
 	for _, g := range ix.grams {
-		buf = appendIDs(buf, 0, g)
+		codec.AppendAscending(e, 0, g)
 	}
 	var upper []int32
 	for i, cs := range ix.cands {
@@ -84,29 +78,24 @@ func (ix *Index) Save() ([]byte, error) {
 				upper = append(upper, c.ID)
 			}
 		}
-		buf = appendIDs(buf, i, upper)
+		codec.AppendAscending(e, uint64(i), upper)
 	}
-	if ix.cover == nil {
-		return append(buf, 0), nil
+	e.Byte(flagByte(ix.cover != nil))
+	if ix.cover != nil {
+		e.Uvarint(uint64(ix.cover.NumEntities))
+		e.Uvarint(uint64(len(ix.cover.Sets)))
+		for _, set := range ix.cover.Sets {
+			codec.AppendAscending(e, 0, set)
+		}
 	}
-	buf = append(buf, 1)
-	buf = binary.AppendUvarint(buf, uint64(ix.cover.NumEntities))
-	buf = binary.AppendUvarint(buf, uint64(len(ix.cover.Sets)))
-	for _, set := range ix.cover.Sets {
-		buf = appendIDs(buf, 0, set)
-	}
-	return buf, nil
+	return e.Bytes(), nil
 }
 
-// appendIDs appends an ascending id list, every id ≥ floor.
-func appendIDs[T int32 | uint32](buf []byte, floor int, ids []T) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	prev := uint64(floor)
-	for _, id := range ids {
-		buf = binary.AppendUvarint(buf, uint64(id)-prev)
-		prev = uint64(id)
+func flagByte(b bool) byte {
+	if b {
+		return 1
 	}
-	return buf
+	return 0
 }
 
 // LoadIndex restores an index saved with Save. The restored index is
@@ -116,34 +105,34 @@ func LoadIndex(data []byte) (*Index, error) {
 	if len(data) < len(indexBlobMagic) || string(data[:len(indexBlobMagic)]) != indexBlobMagic {
 		return nil, fmt.Errorf("canopy: index blob lacks the %q header", indexBlobMagic[:len(indexBlobMagic)-1])
 	}
-	ix, err := decodeIndex(&blobReader{buf: data[len(indexBlobMagic):]})
+	ix, err := decodeIndex(codec.NewDecoder(data[len(indexBlobMagic):]))
 	if err != nil {
 		return nil, fmt.Errorf("canopy: index blob: %w", err)
 	}
 	return ix, nil
 }
 
-func decodeIndex(r *blobReader) (*Index, error) {
+func decodeIndex(d *codec.Decoder) (*Index, error) {
 	cfg := Config{
-		Loose:           math.Float64frombits(r.fixed64()),
-		Tight:           math.Float64frombits(r.fixed64()),
-		Q:               r.int(),
-		MaxAligned:      r.int(),
-		MaxNeighborhood: r.int(),
-		FullBoundary:    r.flag(),
+		Loose:           math.Float64frombits(d.Fixed64("loose")),
+		Tight:           math.Float64frombits(d.Fixed64("tight")),
+		Q:               readInt(d, "q"),
+		MaxAligned:      readInt(d, "max aligned"),
+		MaxNeighborhood: readInt(d, "max neighborhood"),
+		FullBoundary:    readFlag(d, "full boundary"),
 	}
-	n := r.count()
-	if r.err != nil {
-		return nil, r.err
+	n := d.Count("records")
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	ix, err := NewIndex(cfg)
 	if err != nil {
 		return nil, err
 	}
-	grams := r.count()
-	for gid := 0; gid < grams && r.err == nil; gid++ {
-		gram := string(r.bytes(r.count()))
-		if _, dup := ix.dict[gram]; dup && r.err == nil {
+	grams := d.Count("dict")
+	for gid := 0; gid < grams && d.Err() == nil; gid++ {
+		gram := d.String("dict")
+		if _, dup := ix.dict[gram]; dup && d.Err() == nil {
 			return nil, fmt.Errorf("gram %q listed twice", gram)
 		}
 		ix.dict[gram] = uint32(gid)
@@ -152,14 +141,14 @@ func decodeIndex(r *blobReader) (*Index, error) {
 	ix.n = n
 	ix.grams = make([][]uint32, n)
 	for id := range ix.grams {
-		ix.grams[id] = ids[uint32](r, 0, grams)
+		ix.grams[id] = codec.Ascending[uint32](d, "grams", 0, uint64(grams))
 		for _, gid := range ix.grams[id] {
 			ix.postings[gid] = append(ix.postings[gid], int32(id))
 		}
 	}
 	ix.cands = make([][]scored, n)
 	for i := range ix.cands {
-		for _, j := range ids[int32](r, i, n) {
+		for _, j := range codec.Ascending[int32](d, "candidates", uint64(i), uint64(n)) {
 			s := jaccardOf(ix.grams[i], ix.grams[j])
 			ix.cands[i] = append(ix.cands[i], scored{ID: j, Sim: s})
 			if int(j) != i {
@@ -167,15 +156,15 @@ func decodeIndex(r *blobReader) (*Index, error) {
 			}
 		}
 	}
-	if r.flag() {
-		if entities := r.int(); entities != n && r.err == nil {
+	if readFlag(d, "cover") {
+		if entities := readInt(d, "cover"); entities != n && d.Err() == nil {
 			return nil, fmt.Errorf("cover spans %d entities over %d records", entities, n)
 		}
-		sets := make([][]core.EntityID, r.count())
+		sets := make([][]core.EntityID, d.Count("cover"))
 		for i := range sets {
-			sets[i] = ids[int32](r, 0, n)
+			sets[i] = codec.Ascending[int32](d, "cover", 0, uint64(n))
 		}
-		if r.err == nil {
+		if d.Err() == nil {
 			ix.cover = core.NewCover(n, sets)
 			ix.prevByID = ix.cover.Sets
 			for _, set := range ix.cover.Sets {
@@ -183,10 +172,29 @@ func decodeIndex(r *blobReader) (*Index, error) {
 			}
 		}
 	}
-	if r.err == nil && len(r.buf) > 0 {
-		return nil, fmt.Errorf("%d trailing bytes", len(r.buf))
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
-	return ix, r.err
+	return ix, nil
+}
+
+// readInt reads a varint that must fit an int32.
+func readInt(d *codec.Decoder, field string) int {
+	v := d.Uvarint(field)
+	if v > math.MaxInt32 {
+		d.Fail(field, fmt.Errorf("value %d out of range", v))
+		return 0
+	}
+	return int(v)
+}
+
+// readFlag reads a byte that must be 0 or 1.
+func readFlag(d *codec.Decoder, field string) bool {
+	b := d.Byte(field)
+	if b > 1 {
+		d.Fail(field, fmt.Errorf("flag byte %d", b))
+	}
+	return b == 1
 }
 
 // jaccardOf is the q-gram Jaccard of two ascending gram-id sets.
@@ -205,108 +213,4 @@ func jaccardOf(a, b []uint32) float64 {
 		}
 	}
 	return gramJaccard(inter, len(a), len(b))
-}
-
-// blobReader consumes a postings blob, keeping the first error: after
-// it, every read returns a zero value.
-type blobReader struct {
-	buf []byte
-	err error
-}
-
-var errTruncated = errors.New("truncated")
-
-func (r *blobReader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-	r.buf = nil
-}
-
-// uvarint reads a minimally encoded unsigned varint.
-func (r *blobReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.buf)
-	switch {
-	case n == 0:
-		r.fail(errTruncated)
-		return 0
-	case n < 0 || (n > 1 && r.buf[n-1] == 0):
-		r.fail(errors.New("malformed varint"))
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-// int reads a varint that must fit an int32.
-func (r *blobReader) int() int {
-	v := r.uvarint()
-	if v > math.MaxInt32 {
-		r.fail(fmt.Errorf("value %d out of range", v))
-		return 0
-	}
-	return int(v)
-}
-
-// count reads a length, bounded by the remaining bytes (every counted
-// element takes at least one).
-func (r *blobReader) count() int {
-	v := r.uvarint()
-	if v > uint64(len(r.buf)) {
-		r.fail(fmt.Errorf("count %d exceeds the %d remaining bytes", v, len(r.buf)))
-		return 0
-	}
-	return int(v)
-}
-
-func (r *blobReader) flag() bool {
-	b := r.bytes(1)
-	if len(b) == 1 && b[0] > 1 {
-		r.fail(fmt.Errorf("flag byte %d", b[0]))
-	}
-	return len(b) == 1 && b[0] == 1
-}
-
-func (r *blobReader) fixed64() uint64 {
-	b := r.bytes(8)
-	if len(b) < 8 {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *blobReader) bytes(n int) []byte {
-	if n > len(r.buf) {
-		r.fail(errTruncated)
-		return nil
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
-}
-
-// ids reads an ascending id list of ids in [floor, limit), floor ≤ limit.
-func ids[T int32 | uint32](r *blobReader, floor, limit int) []T {
-	k := r.count()
-	if k == 0 {
-		return nil
-	}
-	out := make([]T, k)
-	prev := uint64(floor)
-	for i := range out {
-		d := r.uvarint()
-		switch {
-		case r.err != nil:
-			return nil
-		case i > 0 && d == 0:
-			r.fail(errors.New("ids not ascending"))
-			return nil
-		case d >= uint64(limit)-prev:
-			r.fail(fmt.Errorf("id out of range [%d, %d)", floor, limit))
-			return nil
-		}
-		prev += d
-		out[i] = T(prev)
-	}
-	return out
 }

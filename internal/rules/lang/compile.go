@@ -186,21 +186,20 @@ func newRow(key string, nf int) row {
 	return r
 }
 
-// eval applies the predicate to the field of both rows. The string
-// measures run on the normalised values — each measure of
-// internal/similarity's Field kernels without their per-call
-// normalisation — and absdiff parses the raw ones.
+// eval applies the predicate to the field of both rows: the string
+// comparisons of internal/similarity on the normalised values, and
+// absdiff on the raw ones.
 func (pr pred) eval(a, b row) bool {
 	na, nb := a.norm[pr.field], b.norm[pr.field]
 	switch pr.op {
 	case OpEqual:
-		return na != "" && na == nb
+		return similarity.NormalEqual(na, nb)
 	case OpDiffer:
-		return na != "" && nb != "" && na != nb
+		return similarity.NormalDiffer(na, nb)
 	case OpJaro:
 		return similarity.JaroWinkler(na, nb) >= pr.num
 	case OpQGram:
-		return similarity.QGramJaccard(na, nb, 2) >= pr.num
+		return similarity.QGramJaccard(na, nb, similarity.FieldQ) >= pr.num
 	case OpLev:
 		return similarity.Levenshtein(na, nb) <= int(pr.num)
 	case OpAbsDiff:

@@ -7,11 +7,15 @@ import (
 
 // Typed-field kernels for non-bibliographic domains. A record in such a
 // domain carries several named fields (name, street, zip, …) packed into
-// one composite key separated by FieldSep; the declarative rule language
-// (internal/rules/lang) addresses the fields by name and compares them
-// with the kernels below, which are thin normalizing wrappers over the
-// package's string measures plus a numeric comparator. Keeping them here
-// gives every domain one set of measures with one set of parity tests.
+// one composite key separated by FieldSep. Fields are compared after
+// NormalizeField: NormalEqual and NormalDiffer are the equality tests
+// over normalised values, and the string measures (JaroWinkler,
+// QGramJaccard with q = FieldQ, Levenshtein) apply as they are. The
+// declarative rule language (internal/rules/lang) normalises each
+// record's fields once and calls these directly; the Field kernels are
+// the same comparisons over raw payloads. AbsDiff compares numeric
+// fields as written. Keeping them here gives every domain one set of
+// measures with one set of parity tests.
 
 // FieldSep separates fields inside a composite record key:
 // "ann smith | 12 oak st | 94110 | 555-0101".
@@ -36,12 +40,8 @@ func JoinFields(fields []string) string {
 
 // NormalizeField canonicalizes one field payload the same way ParseName
 // canonicalizes author names: lowercase, '.' and ',' mapped to spaces,
-// whitespace runs collapsed to single spaces, ends trimmed. A payload
-// that is already normal is returned as is, without allocating.
+// whitespace runs collapsed to single spaces, ends trimmed.
 func NormalizeField(s string) string {
-	if isNormalField(s) {
-		return s
-	}
 	clean := strings.Map(func(r rune) rune {
 		switch r {
 		case '.', ',':
@@ -52,34 +52,29 @@ func NormalizeField(s string) string {
 	return strings.Join(strings.Fields(clean), " ")
 }
 
-// isNormalField reports whether s is its own NormalizeField: ASCII with
-// no uppercase letter, '.', ',' or whitespace other than single inner
-// spaces.
-func isNormalField(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c >= 0x80, 'A' <= c && c <= 'Z', c == '.', c == ',',
-			c == '\t', c == '\n', c == '\v', c == '\f', c == '\r':
-			return false
-		case c == ' ' && (i == 0 || i == len(s)-1 || s[i-1] == ' '):
-			return false
-		}
-	}
-	return true
-}
+// FieldQ is the q-gram length of the q-gram field comparison.
+const FieldQ = 2
 
-// FieldEqual reports normalized equality of two non-empty fields. Two
-// empty fields are NOT equal: absence of a value is no evidence.
-func FieldEqual(a, b string) bool {
-	na, nb := NormalizeField(a), NormalizeField(b)
+// NormalEqual reports equality of two normalized fields. Two empty
+// fields are NOT equal: absence of a value is no evidence.
+func NormalEqual(na, nb string) bool {
 	return na != "" && na == nb
 }
 
-// FieldDiffer reports that both fields are present and normalize to
-// different values — the hard-inequality predicate of the rule language.
-func FieldDiffer(a, b string) bool {
-	na, nb := NormalizeField(a), NormalizeField(b)
+// NormalDiffer reports that both normalized fields are present and
+// different — the hard-inequality predicate of the rule language.
+func NormalDiffer(na, nb string) bool {
 	return na != "" && nb != "" && na != nb
+}
+
+// FieldEqual is NormalEqual over raw fields.
+func FieldEqual(a, b string) bool {
+	return NormalEqual(NormalizeField(a), NormalizeField(b))
+}
+
+// FieldDiffer is NormalDiffer over raw fields.
+func FieldDiffer(a, b string) bool {
+	return NormalDiffer(NormalizeField(a), NormalizeField(b))
 }
 
 // FieldJaro is Jaro-Winkler over normalized fields.
@@ -87,9 +82,9 @@ func FieldJaro(a, b string) float64 {
 	return JaroWinkler(NormalizeField(a), NormalizeField(b))
 }
 
-// FieldQGram is q-gram Jaccard (q = 2) over normalized fields.
+// FieldQGram is q-gram Jaccard (q = FieldQ) over normalized fields.
 func FieldQGram(a, b string) float64 {
-	return QGramJaccard(NormalizeField(a), NormalizeField(b), 2)
+	return QGramJaccard(NormalizeField(a), NormalizeField(b), FieldQ)
 }
 
 // FieldLev is Levenshtein edit distance over normalized fields.

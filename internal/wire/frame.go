@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"unicode/utf8"
+
+	"repro/internal/codec"
 )
 
 // This file is the stream layer of the distributed ("sharded-net")
@@ -251,13 +253,13 @@ func (h *Hello) Marshal(f Format) ([]byte, error) {
 		return marshalJSON(typeHello, h)
 	}
 	e := newEncoder(typeHello)
-	e.uvarint(uint64(h.Worker))
-	e.str(h.Scheme)
-	e.str(h.Matcher)
-	e.uvarint(uint64(h.Neighborhoods))
-	e.uvarint(uint64(h.Entities))
-	e.uvarint(uint64(h.HeartbeatNS))
-	return e.bytes(), nil
+	e.Uvarint(uint64(h.Worker))
+	e.String(h.Scheme)
+	e.String(h.Matcher)
+	e.Uvarint(uint64(h.Neighborhoods))
+	e.Uvarint(uint64(h.Entities))
+	e.Uvarint(uint64(h.HeartbeatNS))
+	return e.Bytes(), nil
 }
 
 // UnmarshalHello decodes a Hello (either codec).
@@ -268,13 +270,13 @@ func UnmarshalHello(b []byte) (*Hello, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.Worker = int(dec.uvarint("worker"))
-		h.Scheme = dec.str("scheme")
-		h.Matcher = dec.str("matcher")
-		h.Neighborhoods = int(dec.uvarint("neighborhoods"))
-		h.Entities = int(dec.uvarint("entities"))
-		h.HeartbeatNS = int64(dec.uvarint("heartbeat_ns"))
-		if err := dec.finish(); err != nil {
+		h.Worker = int(dec.Uvarint("worker"))
+		h.Scheme = dec.String("scheme")
+		h.Matcher = dec.String("matcher")
+		h.Neighborhoods = int(dec.Uvarint("neighborhoods"))
+		h.Entities = int(dec.Uvarint("entities"))
+		h.HeartbeatNS = int64(dec.Uvarint("heartbeat_ns"))
+		if err := finish(dec); err != nil {
 			return nil, err
 		}
 	} else if err := unmarshalJSON(b, typeHello, &h); err != nil {
@@ -295,23 +297,23 @@ func (a *Assign) Marshal(f Format) ([]byte, error) {
 		return marshalJSON(typeAssign, a)
 	}
 	e := newEncoder(typeAssign)
-	e.uvarint(uint64(a.Round))
-	e.uvarint(uint64(a.Epoch))
-	e.uvarint(uint64(a.Part))
-	e.uvarint(uint64(a.FromRound))
+	e.Uvarint(uint64(a.Round))
+	e.Uvarint(uint64(a.Epoch))
+	e.Uvarint(uint64(a.Part))
+	e.Uvarint(uint64(a.FromRound))
 	if a.AllowSkip {
-		e.uvarint(1)
+		e.Uvarint(1)
 	} else {
-		e.uvarint(0)
+		e.Uvarint(0)
 	}
-	e.sortedKeys(a.Keys)
-	e.uvarint(uint64(len(a.IDs)))
+	codec.AppendAscending(e, 0, a.Keys)
+	e.Uvarint(uint64(len(a.IDs)))
 	prev := int32(-1)
 	for _, id := range a.IDs {
-		e.uvarint(uint64(id - prev)) // ascending: difference-encode
+		e.Uvarint(uint64(id - prev)) // ascending: difference-encode
 		prev = id
 	}
-	return e.bytes(), nil
+	return e.Bytes(), nil
 }
 
 // UnmarshalAssign decodes an Assign (either codec).
@@ -322,26 +324,26 @@ func UnmarshalAssign(b []byte) (*Assign, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.Round = int(dec.uvarint("round"))
-		a.Epoch = int(dec.uvarint("epoch"))
-		a.Part = int(dec.uvarint("part"))
-		a.FromRound = int(dec.uvarint("from_round"))
-		a.AllowSkip = dec.uvarint("allow_skip") != 0
-		a.Keys = dec.sortedKeys("keys")
-		n := dec.count("ids")
+		a.Round = int(dec.Uvarint("round"))
+		a.Epoch = int(dec.Uvarint("epoch"))
+		a.Part = int(dec.Uvarint("part"))
+		a.FromRound = int(dec.Uvarint("from_round"))
+		a.AllowSkip = dec.Uvarint("allow_skip") != 0
+		a.Keys = sortedKeys(dec, "keys")
+		n := dec.Count("ids")
 		if n > 0 {
 			a.IDs = make([]int32, n)
 			prev := int64(-1)
 			for i := range a.IDs {
-				prev += int64(dec.uvarint("ids"))
+				prev += int64(dec.Uvarint("ids"))
 				if prev > int64(1)<<31-1 {
-					dec.fail("ids", "id overflows int32")
+					dec.Fail("ids", errors.New("id overflows int32"))
 					prev = 0
 				}
 				a.IDs[i] = int32(prev)
 			}
 		}
-		if err := dec.finish(); err != nil {
+		if err := finish(dec); err != nil {
 			return nil, err
 		}
 	} else if err := unmarshalJSON(b, typeAssign, &a); err != nil {
@@ -362,10 +364,10 @@ func (h *Heartbeat) Marshal(f Format) ([]byte, error) {
 		return marshalJSON(typeHeartbeat, h)
 	}
 	e := newEncoder(typeHeartbeat)
-	e.uvarint(uint64(h.Worker))
-	e.uvarint(uint64(h.Round))
-	e.uvarint(uint64(h.Part))
-	return e.bytes(), nil
+	e.Uvarint(uint64(h.Worker))
+	e.Uvarint(uint64(h.Round))
+	e.Uvarint(uint64(h.Part))
+	return e.Bytes(), nil
 }
 
 // UnmarshalHeartbeat decodes a Heartbeat (either codec).
@@ -376,10 +378,10 @@ func UnmarshalHeartbeat(b []byte) (*Heartbeat, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.Worker = int(dec.uvarint("worker"))
-		h.Round = int(dec.uvarint("round"))
-		h.Part = int(dec.uvarint("part"))
-		if err := dec.finish(); err != nil {
+		h.Worker = int(dec.Uvarint("worker"))
+		h.Round = int(dec.Uvarint("round"))
+		h.Part = int(dec.Uvarint("part"))
+		if err := finish(dec); err != nil {
 			return nil, err
 		}
 	} else if err := unmarshalJSON(b, typeHeartbeat, &h); err != nil {
@@ -400,10 +402,10 @@ func (a *BatchAck) Marshal(f Format) ([]byte, error) {
 		return marshalJSON(typeBatchAck, a)
 	}
 	e := newEncoder(typeBatchAck)
-	e.uvarint(uint64(a.Round))
-	e.uvarint(uint64(a.Part))
-	e.uvarint(uint64(a.Epoch))
-	return e.bytes(), nil
+	e.Uvarint(uint64(a.Round))
+	e.Uvarint(uint64(a.Part))
+	e.Uvarint(uint64(a.Epoch))
+	return e.Bytes(), nil
 }
 
 // UnmarshalBatchAck decodes a BatchAck (either codec).
@@ -414,10 +416,10 @@ func UnmarshalBatchAck(b []byte) (*BatchAck, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.Round = int(dec.uvarint("round"))
-		a.Part = int(dec.uvarint("part"))
-		a.Epoch = int(dec.uvarint("epoch"))
-		if err := dec.finish(); err != nil {
+		a.Round = int(dec.Uvarint("round"))
+		a.Part = int(dec.Uvarint("part"))
+		a.Epoch = int(dec.Uvarint("epoch"))
+		if err := finish(dec); err != nil {
 			return nil, err
 		}
 	} else if err := unmarshalJSON(b, typeBatchAck, &a); err != nil {

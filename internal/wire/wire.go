@@ -23,9 +23,12 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"time"
 	"unicode/utf8"
+
+	"repro/internal/codec"
 )
 
 // Format selects a codec.
@@ -261,9 +264,9 @@ func (d *Delta) Marshal(f Format) ([]byte, error) {
 		return marshalJSON(typeDelta, d)
 	}
 	e := newEncoder(typeDelta)
-	e.uvarint(uint64(d.Round))
-	e.sortedKeys(d.Keys)
-	return e.bytes(), nil
+	e.Uvarint(uint64(d.Round))
+	codec.AppendAscending(e, 0, d.Keys)
+	return e.Bytes(), nil
 }
 
 // Marshal serializes the batch in the given format.
@@ -275,25 +278,25 @@ func (b *ShardBatch) Marshal(f Format) ([]byte, error) {
 		return marshalJSON(typeShardBatch, b)
 	}
 	e := newEncoder(typeShardBatch)
-	e.uvarint(uint64(b.Round))
-	e.uvarint(uint64(b.Shard))
-	e.uvarint(uint64(b.Epoch))
-	e.uvarint(uint64(len(b.Jobs)))
+	e.Uvarint(uint64(b.Round))
+	e.Uvarint(uint64(b.Shard))
+	e.Uvarint(uint64(b.Epoch))
+	e.Uvarint(uint64(len(b.Jobs)))
 	for i := range b.Jobs {
 		j := &b.Jobs[i]
-		e.uvarint(uint64(j.ID))
+		e.Uvarint(uint64(j.ID))
 		if j.Skipped {
-			e.uvarint(1)
+			e.Uvarint(1)
 		} else {
-			e.uvarint(0)
+			e.Uvarint(0)
 		}
-		e.uvarint(uint64(j.Active))
-		e.uvarint(uint64(j.Calls))
-		e.uvarint(uint64(j.Dur))
-		e.sortedKeys(j.Matches)
-		e.keyGroups(j.Msgs)
+		e.Uvarint(uint64(j.Active))
+		e.Uvarint(uint64(j.Calls))
+		e.Uvarint(uint64(j.Dur))
+		codec.AppendAscending(e, 0, j.Matches)
+		appendKeyGroups(e, j.Msgs)
 	}
-	return e.bytes(), nil
+	return e.Bytes(), nil
 }
 
 // Marshal serializes the checkpoint in the given format.
@@ -305,45 +308,45 @@ func (c *Checkpoint) Marshal(f Format) ([]byte, error) {
 		return marshalJSON(typeCheckpoint, c)
 	}
 	e := newEncoder(typeCheckpoint)
-	e.str(c.Scheme)
-	e.str(c.Matcher)
-	e.uvarint(uint64(c.Neighborhoods))
-	e.uvarint(uint64(c.Entities))
-	e.uvarint(uint64(c.Round))
+	e.String(c.Scheme)
+	e.String(c.Matcher)
+	e.Uvarint(uint64(c.Neighborhoods))
+	e.Uvarint(uint64(c.Entities))
+	e.Uvarint(uint64(c.Round))
 	if c.Done {
-		e.uvarint(1)
+		e.Uvarint(1)
 	} else {
-		e.uvarint(0)
+		e.Uvarint(0)
 	}
-	e.sortedKeys(c.Delta)
-	e.uvarint(uint64(len(c.Active)))
+	codec.AppendAscending(e, 0, c.Delta)
+	e.Uvarint(uint64(len(c.Active)))
 	prev := int32(-1)
 	for _, id := range c.Active {
-		e.uvarint(uint64(id - prev)) // ascending: difference-encode
+		e.Uvarint(uint64(id - prev)) // ascending: difference-encode
 		prev = id
 	}
-	e.keyGroups(c.Messages)
-	e.uvarint(uint64(len(c.Visits)))
+	appendKeyGroups(e, c.Messages)
+	e.Uvarint(uint64(len(c.Visits)))
 	for _, v := range c.Visits {
-		e.uvarint(uint64(v))
+		e.Uvarint(uint64(v))
 	}
 	s := &c.Stats
-	e.uvarint(uint64(s.Neighborhoods))
-	e.uvarint(uint64(s.MatcherCalls))
-	e.uvarint(uint64(s.Evaluations))
-	e.uvarint(uint64(s.MaxRevisits))
-	e.uvarint(uint64(s.MessagesSent))
-	e.uvarint(uint64(s.MaximalMessages))
-	e.uvarint(uint64(s.PromotedSets))
-	e.uvarint(uint64(s.ScoreChecks))
-	e.uvarint(uint64(s.Skips))
-	e.uvarint(uint64(s.ElapsedNS))
-	e.uvarint(uint64(s.MatcherTimeNS))
-	e.uvarint(uint64(len(s.ActiveSizes)))
+	e.Uvarint(uint64(s.Neighborhoods))
+	e.Uvarint(uint64(s.MatcherCalls))
+	e.Uvarint(uint64(s.Evaluations))
+	e.Uvarint(uint64(s.MaxRevisits))
+	e.Uvarint(uint64(s.MessagesSent))
+	e.Uvarint(uint64(s.MaximalMessages))
+	e.Uvarint(uint64(s.PromotedSets))
+	e.Uvarint(uint64(s.ScoreChecks))
+	e.Uvarint(uint64(s.Skips))
+	e.Uvarint(uint64(s.ElapsedNS))
+	e.Uvarint(uint64(s.MatcherTimeNS))
+	e.Uvarint(uint64(len(s.ActiveSizes)))
 	for _, a := range s.ActiveSizes {
-		e.uvarint(uint64(a))
+		e.Uvarint(uint64(a))
 	}
-	return e.bytes(), nil
+	return e.Bytes(), nil
 }
 
 // UnmarshalDelta decodes a Delta, sniffing the codec from the leading
@@ -355,9 +358,9 @@ func UnmarshalDelta(b []byte) (*Delta, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.Round = int(dec.uvarint("round"))
-		d.Keys = dec.sortedKeys("keys")
-		if err := dec.finish(); err != nil {
+		d.Round = int(dec.Uvarint("round"))
+		d.Keys = sortedKeys(dec, "keys")
+		if err := finish(dec); err != nil {
 			return nil, err
 		}
 	} else if err := unmarshalJSON(b, typeDelta, &d); err != nil {
@@ -377,22 +380,22 @@ func UnmarshalShardBatch(b []byte) (*ShardBatch, error) {
 		if err != nil {
 			return nil, err
 		}
-		sb.Round = int(dec.uvarint("round"))
-		sb.Shard = int(dec.uvarint("shard"))
-		sb.Epoch = int(dec.uvarint("epoch"))
-		n := dec.count("jobs")
+		sb.Round = int(dec.Uvarint("round"))
+		sb.Shard = int(dec.Uvarint("shard"))
+		sb.Epoch = int(dec.Uvarint("epoch"))
+		n := dec.Count("jobs")
 		sb.Jobs = make([]Job, n)
 		for i := range sb.Jobs {
 			j := &sb.Jobs[i]
-			j.ID = int32(dec.uvarint("job.id"))
-			j.Skipped = dec.uvarint("job.skipped") != 0
-			j.Active = int(dec.uvarint("job.active"))
-			j.Calls = int(dec.uvarint("job.calls"))
-			j.Dur = int64(dec.uvarint("job.dur"))
-			j.Matches = dec.sortedKeys("job.matches")
-			j.Msgs = dec.keyGroups("job.msgs")
+			j.ID = int32(dec.Uvarint("job.id"))
+			j.Skipped = dec.Uvarint("job.skipped") != 0
+			j.Active = int(dec.Uvarint("job.active"))
+			j.Calls = int(dec.Uvarint("job.calls"))
+			j.Dur = int64(dec.Uvarint("job.dur"))
+			j.Matches = sortedKeys(dec, "job.matches")
+			j.Msgs = keyGroups(dec, "job.msgs")
 		}
-		if err := dec.finish(); err != nil {
+		if err := finish(dec); err != nil {
 			return nil, err
 		}
 	} else if err := unmarshalJSON(b, typeShardBatch, &sb); err != nil {
@@ -412,52 +415,52 @@ func UnmarshalCheckpoint(b []byte) (*Checkpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.Scheme = dec.str("scheme")
-		c.Matcher = dec.str("matcher")
-		c.Neighborhoods = int(dec.uvarint("neighborhoods"))
-		c.Entities = int(dec.uvarint("entities"))
-		c.Round = int(dec.uvarint("round"))
-		c.Done = dec.uvarint("done") != 0
-		c.Delta = dec.sortedKeys("delta")
-		n := dec.count("active")
+		c.Scheme = dec.String("scheme")
+		c.Matcher = dec.String("matcher")
+		c.Neighborhoods = int(dec.Uvarint("neighborhoods"))
+		c.Entities = int(dec.Uvarint("entities"))
+		c.Round = int(dec.Uvarint("round"))
+		c.Done = dec.Uvarint("done") != 0
+		c.Delta = sortedKeys(dec, "delta")
+		n := dec.Count("active")
 		if n > 0 {
 			c.Active = make([]int32, n)
 			prev := int64(-1)
 			for i := range c.Active {
-				prev += int64(dec.uvarint("active"))
+				prev += int64(dec.Uvarint("active"))
 				if prev > int64(1)<<31-1 {
-					dec.fail("active", "id overflows int32")
+					dec.Fail("active", errors.New("id overflows int32"))
 					prev = 0
 				}
 				c.Active[i] = int32(prev)
 			}
 		}
-		c.Messages = dec.keyGroups("messages")
-		nv := dec.count("visits")
+		c.Messages = keyGroups(dec, "messages")
+		nv := dec.Count("visits")
 		c.Visits = make([]int, nv)
 		for i := range c.Visits {
-			c.Visits[i] = int(dec.uvarint("visits"))
+			c.Visits[i] = int(dec.Uvarint("visits"))
 		}
 		s := &c.Stats
-		s.Neighborhoods = int(dec.uvarint("stats"))
-		s.MatcherCalls = int(dec.uvarint("stats"))
-		s.Evaluations = int(dec.uvarint("stats"))
-		s.MaxRevisits = int(dec.uvarint("stats"))
-		s.MessagesSent = int(dec.uvarint("stats"))
-		s.MaximalMessages = int(dec.uvarint("stats"))
-		s.PromotedSets = int(dec.uvarint("stats"))
-		s.ScoreChecks = int(dec.uvarint("stats"))
-		s.Skips = int(dec.uvarint("stats"))
-		s.ElapsedNS = int64(dec.uvarint("stats"))
-		s.MatcherTimeNS = int64(dec.uvarint("stats"))
-		na := dec.count("stats.active_sizes")
+		s.Neighborhoods = int(dec.Uvarint("stats"))
+		s.MatcherCalls = int(dec.Uvarint("stats"))
+		s.Evaluations = int(dec.Uvarint("stats"))
+		s.MaxRevisits = int(dec.Uvarint("stats"))
+		s.MessagesSent = int(dec.Uvarint("stats"))
+		s.MaximalMessages = int(dec.Uvarint("stats"))
+		s.PromotedSets = int(dec.Uvarint("stats"))
+		s.ScoreChecks = int(dec.Uvarint("stats"))
+		s.Skips = int(dec.Uvarint("stats"))
+		s.ElapsedNS = int64(dec.Uvarint("stats"))
+		s.MatcherTimeNS = int64(dec.Uvarint("stats"))
+		na := dec.Count("stats.active_sizes")
 		if na > 0 {
 			s.ActiveSizes = make([]int, na)
 			for i := range s.ActiveSizes {
-				s.ActiveSizes[i] = int(dec.uvarint("stats.active_sizes"))
+				s.ActiveSizes[i] = int(dec.Uvarint("stats.active_sizes"))
 			}
 		}
-		if err := dec.finish(); err != nil {
+		if err := finish(dec); err != nil {
 			return nil, err
 		}
 	} else if err := unmarshalJSON(b, typeCheckpoint, &c); err != nil {
