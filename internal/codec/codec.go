@@ -113,8 +113,8 @@ func (d *Decoder) Count(field string) int {
 	return int(v)
 }
 
-// Next reads the next n bytes.
-func (d *Decoder) Next(field string, n int) []byte {
+// next reads the next n bytes.
+func (d *Decoder) next(field string, n int) []byte {
 	if n > len(d.buf) {
 		d.Fail(field, errTruncated)
 		return nil
@@ -125,7 +125,7 @@ func (d *Decoder) Next(field string, n int) []byte {
 }
 
 func (d *Decoder) Byte(field string) byte {
-	if b := d.Next(field, 1); len(b) == 1 {
+	if b := d.next(field, 1); len(b) == 1 {
 		return b[0]
 	}
 	return 0
@@ -133,7 +133,7 @@ func (d *Decoder) Byte(field string) byte {
 
 // Fixed64 reads 8 little-endian bytes.
 func (d *Decoder) Fixed64(field string) uint64 {
-	if b := d.Next(field, 8); len(b) == 8 {
+	if b := d.next(field, 8); len(b) == 8 {
 		return binary.LittleEndian.Uint64(b)
 	}
 	return 0
@@ -141,7 +141,7 @@ func (d *Decoder) Fixed64(field string) uint64 {
 
 // String reads a length-prefixed string.
 func (d *Decoder) String(field string) string {
-	return string(d.Next(field, d.Count(field)))
+	return string(d.next(field, d.Count(field)))
 }
 
 // Ascending reads a list written by AppendAscending whose ids lie in
